@@ -17,7 +17,9 @@
 //!
 //! The codec is strict on decode (no panics on hostile input — every failure
 //! is a typed [`WireError`]) and deterministic on encode, which the
-//! measurement harness relies on for byte-for-byte reproducibility.
+//! measurement harness relies on for byte-for-byte reproducibility. Decoding
+//! has one validation walk, the zero-copy [`MessageView::parse`];
+//! [`Message::decode`] materialises an owned message from that view.
 //!
 //! ```
 //! use dnswire::{builder, Message, RecordType};

@@ -1,5 +1,5 @@
-//! Domain names: presentation parsing, wire encoding and decoding with
-//! message compression (RFC 1035 §4.1.4).
+//! Domain names: presentation parsing and wire encoding with message
+//! compression (RFC 1035 §4.1.4). Wire decoding lives in [`crate::view`].
 
 use crate::error::WireError;
 use crate::{MAX_LABEL_LEN, MAX_NAME_LEN};
@@ -77,6 +77,16 @@ impl Name {
             return Err(WireError::NameTooLong(total));
         }
         Ok(Name { labels })
+    }
+
+    /// Build a name from wire labels that [`MessageView::parse`] already
+    /// bounded (labels ≤ 63 octets, name ≤ 255), lowercasing them.
+    ///
+    /// [`MessageView::parse`]: crate::view::MessageView::parse
+    pub(crate) fn from_validated_labels<'a>(labels: impl Iterator<Item = &'a [u8]>) -> Self {
+        Name {
+            labels: labels.map(<[u8]>::to_ascii_lowercase).collect(),
+        }
     }
 
     /// Number of labels (`0` for the root).
@@ -175,73 +185,6 @@ impl Name {
             buf.extend_from_slice(label);
         }
         buf.push(0);
-    }
-
-    /// Decode a (possibly compressed) name from `msg` starting at `*pos`.
-    ///
-    /// On success `*pos` is advanced past the name as it appears at the
-    /// original location (pointers are followed without moving `*pos`).
-    pub fn decode(msg: &[u8], pos: &mut usize) -> Result<Self, WireError> {
-        let mut labels = Vec::new();
-        let mut total = 1usize;
-        let mut cursor = *pos;
-        let mut jumped = false;
-        let mut jumps = 0u32;
-        // After the first pointer, `*pos` is already final; before it, we
-        // track how far the inline representation extends.
-        let mut end_of_inline = *pos;
-
-        loop {
-            let len_byte = *msg.get(cursor).ok_or(WireError::Truncated {
-                expecting: "name label length",
-            })?;
-            match len_byte & 0b1100_0000 {
-                0b0000_0000 => {
-                    if len_byte == 0 {
-                        if !jumped {
-                            end_of_inline = cursor + 1;
-                        }
-                        break;
-                    }
-                    let len = len_byte as usize;
-                    let start = cursor + 1;
-                    let end = start + len;
-                    let label = msg.get(start..end).ok_or(WireError::Truncated {
-                        expecting: "name label",
-                    })?;
-                    total += 1 + len;
-                    if total > MAX_NAME_LEN {
-                        return Err(WireError::NameTooLong(total));
-                    }
-                    labels.push(label.to_ascii_lowercase());
-                    cursor = end;
-                    if !jumped {
-                        end_of_inline = cursor;
-                    }
-                }
-                0b1100_0000 => {
-                    let second = *msg.get(cursor + 1).ok_or(WireError::Truncated {
-                        expecting: "pointer low byte",
-                    })?;
-                    let target = (((len_byte & 0b0011_1111) as u16) << 8) | second as u16;
-                    if (target as usize) >= cursor {
-                        return Err(WireError::BadPointer(target));
-                    }
-                    jumps += 1;
-                    if jumps > 64 {
-                        return Err(WireError::PointerLoop);
-                    }
-                    if !jumped {
-                        end_of_inline = cursor + 2;
-                        jumped = true;
-                    }
-                    cursor = target as usize;
-                }
-                other => return Err(WireError::BadLabelType(other)),
-            }
-        }
-        *pos = end_of_inline;
-        Ok(Name { labels })
     }
 }
 
@@ -342,33 +285,51 @@ mod tests {
         assert!(Name::parse("com").unwrap().second_level_domain().is_none());
     }
 
+    /// Wrap encoded question names (each followed by QTYPE/QCLASS) in a
+    /// header and decode the message: names are only decoded as part of a
+    /// message.
+    fn decode_qnames(names: &[u8], count: u16) -> Vec<Name> {
+        let mut wire = Vec::new();
+        crate::Header {
+            qdcount: count,
+            ..crate::Header::new_query(1)
+        }
+        .encode(&mut wire);
+        wire.extend_from_slice(names);
+        let msg = crate::Message::decode(&wire).unwrap();
+        msg.questions.into_iter().map(|q| q.qname).collect()
+    }
+
+    const QTYPE_QCLASS: [u8; 4] = [0, 1, 0, 1];
+
     #[test]
     fn uncompressed_round_trip() {
         let n = Name::parse("dns.quad9.net").unwrap();
         let mut buf = Vec::new();
         n.encode_uncompressed(&mut buf);
         assert_eq!(buf.len(), n.wire_len());
-        let mut pos = 0;
-        let back = Name::decode(&buf, &mut pos).unwrap();
-        assert_eq!(back, n);
-        assert_eq!(pos, buf.len());
+        buf.extend_from_slice(&QTYPE_QCLASS);
+        assert_eq!(decode_qnames(&buf, 1), vec![n]);
     }
 
     #[test]
     fn compression_reuses_suffixes() {
         let a = Name::parse("one.example.com").unwrap();
         let b = Name::parse("two.example.com").unwrap();
-        let mut buf = Vec::new();
+        // Pointers are message offsets, so encode after a 12-octet header.
+        let mut buf = vec![0u8; crate::Header::WIRE_LEN];
         let mut table = HashMap::new();
         a.encode_compressed(&mut buf, &mut table);
+        buf.extend_from_slice(&QTYPE_QCLASS);
         let first_len = buf.len();
         b.encode_compressed(&mut buf, &mut table);
         // "two" label (4 bytes) + 2-byte pointer instead of full 17 bytes.
         assert_eq!(buf.len() - first_len, 4 + 2);
-        let mut pos = 0;
-        assert_eq!(Name::decode(&buf, &mut pos).unwrap(), a);
-        assert_eq!(Name::decode(&buf, &mut pos).unwrap(), b);
-        assert_eq!(pos, buf.len());
+        buf.extend_from_slice(&QTYPE_QCLASS);
+        assert_eq!(
+            decode_qnames(&buf[crate::Header::WIRE_LEN..], 2),
+            vec![a, b]
+        );
     }
 
     #[test]
@@ -383,45 +344,12 @@ mod tests {
     }
 
     #[test]
-    fn forward_pointer_rejected() {
-        // Pointer at offset 0 pointing to itself.
-        let buf = [0xc0, 0x00];
-        let mut pos = 0;
-        assert!(matches!(
-            Name::decode(&buf, &mut pos),
-            Err(WireError::BadPointer(0))
-        ));
-    }
-
-    #[test]
-    fn truncated_label_rejected() {
-        let buf = [3, b'a', b'b']; // promises 3 bytes, gives 2
-        let mut pos = 0;
-        assert!(matches!(
-            Name::decode(&buf, &mut pos),
-            Err(WireError::Truncated { .. })
-        ));
-    }
-
-    #[test]
-    fn bad_label_type_rejected() {
-        let buf = [0b1000_0001, 0x00];
-        let mut pos = 0;
-        assert!(matches!(
-            Name::decode(&buf, &mut pos),
-            Err(WireError::BadLabelType(_))
-        ));
-    }
-
-    #[test]
     fn decode_is_case_insensitive() {
-        let mut buf = Vec::new();
-        buf.push(3);
+        let mut buf = vec![3];
         buf.extend_from_slice(b"WwW");
         buf.push(0);
-        let mut pos = 0;
-        let n = Name::decode(&buf, &mut pos).unwrap();
-        assert_eq!(n.to_string(), "www.");
+        buf.extend_from_slice(&QTYPE_QCLASS);
+        assert_eq!(decode_qnames(&buf, 1)[0].to_string(), "www.");
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! Zero-copy borrowed views over DNS wire messages.
 //!
-//! [`MessageView::parse`] validates an entire message in one pass — the same
-//! checks, in the same order, as [`Message::decode`](crate::Message::decode) —
-//! but builds no owned values: names stay as offsets into the input buffer and
-//! are resolved lazily through [`NameRef`], compression pointers included.
-//! After a successful parse, the section iterators and RDATA accessors are
-//! infallible and allocation-free, which is what lets the scanner classify
-//! millions of DoT responses per epoch without touching the heap.
+//! [`MessageView::parse`] is the crate's only validation walk: every
+//! [`WireError`] a peer can trigger is built in this file. It builds no owned
+//! values: names stay as offsets into the input buffer and are resolved lazily
+//! through [`NameRef`], compression pointers included. After a successful
+//! parse, the section iterators and RDATA accessors are infallible and
+//! allocation-free, which is what lets the scanner classify millions of DoT
+//! responses per epoch without touching the heap.
+//!
+//! The owned decoder is this walk plus one infallible materialisation:
+//! [`Message::decode`] is `parse` followed by [`MessageView::to_message`], so
+//! the two views of a message agree by construction.
 //!
 //! The view layer deliberately avoids slice combinators and `Option`-returning
 //! std helpers on the parse path; every bound is checked with explicit
@@ -15,7 +19,9 @@
 
 use crate::error::WireError;
 use crate::header::{Header, Rcode};
-use crate::rr::{RecordClass, RecordType};
+use crate::message::{Message, Question};
+use crate::name::Name;
+use crate::rr::{RData, RecordClass, RecordType, ResourceRecord, SoaData};
 use crate::MAX_NAME_LEN;
 use std::net::Ipv4Addr;
 
@@ -27,10 +33,10 @@ fn be16(msg: &[u8], at: usize) -> u16 {
 
 /// Walk a (possibly compressed) name without materialising labels.
 ///
-/// Mirrors [`Name::decode`](crate::Name::decode) exactly: same truncation
-/// points, same `BadPointer` rule (targets must precede the cursor), same
-/// 64-jump `PointerLoop` limit and 255-octet `NameTooLong` cap. On success
-/// `*pos` is advanced past the inline representation.
+/// Pointer targets must precede the pointer (`BadPointer`), at most 64
+/// jumps are followed (`PointerLoop`) and the assembled name is capped at
+/// 255 octets (`NameTooLong`). On success `*pos` is advanced past the
+/// inline representation; pointers are followed without moving it.
 fn skip_name(msg: &[u8], pos: &mut usize) -> Result<(), WireError> {
     let mut total = 1usize;
     let mut cursor = *pos;
@@ -99,10 +105,10 @@ fn skip_name(msg: &[u8], pos: &mut usize) -> Result<(), WireError> {
 
 /// Validate RDATA of `rtype` at `msg[start..start+len]` without decoding it.
 ///
-/// Reproduces every error path of [`RData::decode`](crate::RData::decode):
-/// fixed-layout length checks for `A`/`AAAA`, exact-consume checks for the
-/// name-bearing types, TXT segment truncation, and the `Truncated { "rdata" }`
-/// bounds check that precedes them all.
+/// After the `Truncated { "rdata" }` bounds check: fixed-layout length
+/// checks for `A`/`AAAA`, exact-consume checks for the name-bearing types
+/// and TXT segment truncation. [`RrView::to_record`] relies on every layout
+/// checked here.
 fn check_rdata(msg: &[u8], rtype: RecordType, start: usize, len: usize) -> Result<(), WireError> {
     let end = start + len;
     if end > msg.len() {
@@ -262,11 +268,10 @@ impl<'a> NameRef<'a> {
         }
     }
 
-    /// Materialise an owned [`Name`](crate::Name). Allocates — for reporting
-    /// and tests, never for hot-path classification.
-    pub fn to_name(&self) -> Result<crate::Name, WireError> {
-        let mut pos = self.start;
-        crate::Name::decode(self.msg, &mut pos)
+    /// Materialise an owned, lowercased [`Name`]. Allocates — for reporting
+    /// and the owned decoder, never for hot-path classification.
+    pub fn to_name(&self) -> Name {
+        Name::from_validated_labels(self.label_iter())
     }
 }
 
@@ -357,14 +362,6 @@ pub struct RrView<'a> {
 }
 
 impl<'a> RrView<'a> {
-    /// Absolute byte range of the RDATA within the message, as
-    /// `(start, len)` — pair it with [`RData::decode`](crate::RData::decode)
-    /// to materialise an owned value (compression pointers in legacy types
-    /// need the whole message, so a bare slice would not do).
-    pub fn rdata_range(&self) -> (usize, usize) {
-        (self.rdata_start, self.rdata_len)
-    }
-
     /// The raw RDATA bytes.
     pub fn rdata_bytes(&self) -> &'a [u8] {
         let end = self.rdata_start + self.rdata_len;
@@ -395,6 +392,67 @@ impl<'a> RrView<'a> {
                 start: self.rdata_start,
             }),
             _ => None,
+        }
+    }
+
+    /// Materialise the owned record. `parse` checked the RDATA layout of
+    /// every known type (`check_rdata`), so the reads below stay in bounds.
+    fn to_record(self) -> ResourceRecord {
+        let msg = self.msg;
+        let start = self.rdata_start;
+        let bytes = self.rdata_bytes();
+        let name_at = |start| NameRef { msg, start }.to_name();
+        let rdata = match self.rtype {
+            RecordType::A => RData::A(Ipv4Addr::new(bytes[0], bytes[1], bytes[2], bytes[3])),
+            RecordType::Aaaa => {
+                let mut octets = [0u8; 16];
+                octets.copy_from_slice(bytes);
+                RData::Aaaa(octets.into())
+            }
+            RecordType::Ns => RData::Ns(name_at(start)),
+            RecordType::Cname => RData::Cname(name_at(start)),
+            RecordType::Ptr => RData::Ptr(name_at(start)),
+            RecordType::Soa => {
+                let mut rname_at = start;
+                // Already walked by `parse`; cannot fail here.
+                let _ = skip_name(msg, &mut rname_at);
+                // The 20 fixed octets close the RDATA exactly.
+                let fixed = &bytes[bytes.len() - 20..];
+                let word = |i: usize| {
+                    u32::from_be_bytes([fixed[i], fixed[i + 1], fixed[i + 2], fixed[i + 3]])
+                };
+                RData::Soa(SoaData {
+                    mname: name_at(start),
+                    rname: name_at(rname_at),
+                    serial: word(0),
+                    refresh: word(4),
+                    retry: word(8),
+                    expire: word(12),
+                    minimum: word(16),
+                })
+            }
+            RecordType::Mx => RData::Mx {
+                preference: be16(msg, start),
+                exchange: name_at(start + 2),
+            },
+            RecordType::Txt => {
+                let mut segments = Vec::new();
+                let mut i = 0usize;
+                while i < bytes.len() {
+                    let end = i + 1 + bytes[i] as usize;
+                    segments.push(bytes[i + 1..end].to_vec());
+                    i = end;
+                }
+                RData::Txt(segments)
+            }
+            RecordType::Opt | RecordType::Other(_) => RData::Opaque(bytes.to_vec()),
+        };
+        ResourceRecord {
+            name: self.name.to_name(),
+            rtype: self.rtype,
+            class: self.class,
+            ttl: self.ttl,
+            rdata,
         }
     }
 }
@@ -489,6 +547,13 @@ impl<'a> RrIter<'a> {
             rdata_len,
         })
     }
+
+    /// Materialise the rest of the section, sized from the header count.
+    fn to_records(self) -> Vec<ResourceRecord> {
+        let mut records = Vec::with_capacity(self.remaining as usize);
+        records.extend(self.map(|rr| rr.to_record()));
+        records
+    }
 }
 
 impl<'a> Iterator for RrIter<'a> {
@@ -502,9 +567,8 @@ impl<'a> Iterator for RrIter<'a> {
 /// A borrowed, validated view of a complete DNS message.
 ///
 /// Construction via [`MessageView::parse`] performs the full strict
-/// validation of [`Message::decode`](crate::Message::decode) — identical
-/// typed errors on identical inputs — after which every accessor is
-/// allocation-free and panic-free.
+/// validation, after which every accessor is allocation-free and
+/// panic-free, and [`MessageView::to_message`] cannot fail.
 #[derive(Debug, Clone, Copy)]
 pub struct MessageView<'a> {
     msg: &'a [u8],
@@ -515,8 +579,9 @@ pub struct MessageView<'a> {
 }
 
 impl<'a> MessageView<'a> {
-    /// Validate `msg` and build a view. Trailing bytes are an error, exactly
-    /// as in the owned decoder.
+    /// Validate `msg` and build a view. Trailing bytes are an error, as is an
+    /// OPT record outside the additional section or more than one OPT record
+    /// (RFC 6891 §6.1.1).
     pub fn parse(msg: &'a [u8]) -> Result<Self, WireError> {
         let mut pos = 0usize;
         let header = Header::decode(msg, &mut pos)?;
@@ -639,6 +704,25 @@ impl<'a> MessageView<'a> {
         }
     }
 
+    /// Materialise the owned [`Message`]: labels lowercased, the header
+    /// keeping the section counts found on the wire. Allocates; the scan
+    /// hot paths stay on the view.
+    pub fn to_message(&self) -> Message {
+        let mut questions = Vec::with_capacity(self.header.qdcount as usize);
+        questions.extend(self.questions().map(|q| Question {
+            qname: q.qname.to_name(),
+            qtype: q.qtype,
+            qclass: q.qclass,
+        }));
+        Message {
+            header: self.header,
+            questions,
+            answers: self.answers().to_records(),
+            authority: self.authority().to_records(),
+            additional: self.additional().to_records(),
+        }
+    }
+
     /// The first `A` record in the answer section, if any — the scanner's
     /// correctness check (§3.2: did the resolver return our controlled
     /// answer?) without materialising the message.
@@ -661,9 +745,6 @@ impl<'a> MessageView<'a> {
 mod tests {
     use super::*;
     use crate::builder;
-    use crate::name::Name;
-    use crate::rr::{RData, ResourceRecord};
-    use crate::Message;
 
     fn response_fixture() -> Vec<u8> {
         let q = builder::query(0x1234, "www.example.com", RecordType::A).unwrap();
@@ -713,10 +794,7 @@ mod tests {
         assert!(second.name.eq_presentation("cdn.example.com"));
         assert!(second.name.eq_presentation("CDN.Example.COM."));
         assert!(!second.name.eq_presentation("cdn.example.net"));
-        assert_eq!(
-            second.name.to_name().unwrap().to_string(),
-            "cdn.example.com."
-        );
+        assert_eq!(second.name.to_name().to_string(), "cdn.example.com.");
     }
 
     #[test]

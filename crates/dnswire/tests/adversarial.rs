@@ -1,7 +1,8 @@
 //! Adversarial wire-format corpus: every fixture under `tests/fixtures/` is
 //! a hand-built hostile message (truncations, compression-pointer abuse,
-//! length overflows, misplaced OPT). Both decoders — owned [`Message`] and
-//! borrowing [`MessageView`] — must return the same typed [`WireError`] on
+//! length overflows, misplaced OPT). Both entry points into the one
+//! validation walk — owned [`Message::decode`] and borrowing
+//! [`MessageView::parse`] — must return the expected typed [`WireError`] on
 //! each, and must never panic.
 
 use dnswire::view::MessageView;
@@ -93,19 +94,19 @@ const FIXTURES: &[Fixture] = &[
 ];
 
 #[test]
-fn both_decoders_reject_every_fixture_with_the_expected_error() {
+fn both_entry_points_reject_every_fixture_with_the_expected_error() {
     for fx in FIXTURES {
         let bytes = parse_hex(fx.hex);
         let owned = Message::decode(&bytes).expect_err(fx.name);
         assert!(
             (fx.expect)(&owned),
-            "{}: owned decoder returned unexpected {owned:?}",
+            "{}: Message::decode returned unexpected {owned:?}",
             fx.name
         );
         let view = MessageView::parse(&bytes).expect_err(fx.name);
         assert_eq!(
             owned, view,
-            "{}: decoders disagree on the error variant",
+            "{}: entry points disagree on the error variant",
             fx.name
         );
     }
@@ -114,7 +115,8 @@ fn both_decoders_reject_every_fixture_with_the_expected_error() {
 #[test]
 fn every_fixture_prefix_is_handled_without_panicking() {
     // Each fixture, truncated at every possible length: still typed errors
-    // (or, for a prefix that happens to form a valid message, agreement).
+    // from both entry points (or, for a prefix that happens to form a valid
+    // message, acceptance by both).
     for fx in FIXTURES {
         let bytes = parse_hex(fx.hex);
         for keep in 0..bytes.len() {
@@ -123,7 +125,7 @@ fn every_fixture_prefix_is_handled_without_panicking() {
                 (Err(a), Err(b)) => assert_eq!(a, b, "{} prefix {keep}", fx.name),
                 (Ok(_), Ok(_)) => {}
                 (a, b) => panic!(
-                    "{} prefix {keep}: decoders disagree ({a:?} vs {b:?})",
+                    "{} prefix {keep}: entry points disagree ({a:?} vs {b:?})",
                     fx.name
                 ),
             }

@@ -76,12 +76,17 @@ fn arb_message() -> impl Strategy<Value = Message> {
 proptest! {
     #[test]
     fn name_round_trips_uncompressed(name in arb_name()) {
-        let mut buf = Vec::new();
-        name.encode_uncompressed(&mut buf);
-        let mut pos = 0;
-        let back = Name::decode(&buf, &mut pos).unwrap();
-        prop_assert_eq!(back, name);
-        prop_assert_eq!(pos, buf.len());
+        // An uncompressed name as the RDATA of a CNAME answer.
+        let mut rdata = Vec::new();
+        name.encode_uncompressed(&mut rdata);
+        prop_assert_eq!(rdata.len(), name.wire_len());
+        let mut wire = Vec::new();
+        Header { ancount: 1, ..Header::new_query(1) }.encode(&mut wire);
+        wire.extend_from_slice(&[0, 0, 5, 0, 1, 0, 0, 0, 0]); // root owner, CNAME, IN, ttl 0
+        wire.extend_from_slice(&(rdata.len() as u16).to_be_bytes());
+        wire.extend_from_slice(&rdata);
+        let back = Message::decode(&wire).unwrap();
+        prop_assert_eq!(&back.answers[0].rdata, &RData::Cname(name));
     }
 
     #[test]
@@ -108,9 +113,14 @@ proptest! {
     }
 
     #[test]
-    fn name_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let mut pos = 0;
-        let _ = Name::decode(&bytes, &mut pos);
+    fn name_decode_never_panics(name in proptest::collection::vec(any::<u8>(), 0..64)) {
+        // Arbitrary bytes in the question-name position of a one-question
+        // message, followed by QTYPE/QCLASS.
+        let mut wire = Vec::new();
+        Header { qdcount: 1, ..Header::new_query(1) }.encode(&mut wire);
+        wire.extend_from_slice(&name);
+        wire.extend_from_slice(&[0, 1, 0, 1]);
+        let _ = Message::decode(&wire); // may Err, must not panic
     }
 
     #[test]

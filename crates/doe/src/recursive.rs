@@ -101,7 +101,8 @@ impl MissDelay {
 /// Behaviour knobs for a recursive resolver.
 #[derive(Debug, Clone)]
 pub struct RecursiveConfig {
-    /// Cache entries kept (FIFO eviction).
+    /// Cache entries kept (FIFO eviction). Pins from
+    /// [`RecursiveResolver::prewarm`] are held apart and never count.
     pub cache_capacity: usize,
     /// Probability of answering SERVFAIL spuriously — the background
     /// "Incorrect" rates of Table 4 (fractions of a percent).
@@ -163,6 +164,9 @@ pub struct ResolverStats {
 pub struct RecursiveResolver {
     upstreams: UpstreamMap,
     config: RecursiveConfig,
+    /// Permanent answers, fixed before the resolver is shared: read-only
+    /// once it sits behind an `Arc`, and out of reach of FIFO eviction.
+    pins: HashMap<(Name, RecordType), Vec<ResourceRecord>>,
     cache: Mutex<CacheState>,
     stats: Mutex<ResolverStats>,
 }
@@ -179,6 +183,7 @@ impl RecursiveResolver {
         RecursiveResolver {
             upstreams,
             config,
+            pins: HashMap::new(),
             cache: Mutex::new(CacheState::default()),
             stats: Mutex::new(ResolverStats::default()),
         }
@@ -189,31 +194,32 @@ impl RecursiveResolver {
         *self.stats.lock()
     }
 
-    /// Entries currently cached.
+    /// Evictable entries currently cached (pins excluded).
     pub fn cache_len(&self) -> usize {
         self.cache.lock().map.len()
     }
 
-    /// Pin an answer in the cache that never expires.
+    /// Pin an answer that never expires and is never evicted.
     ///
     /// World construction uses this for names real deployments keep
     /// permanently hot — the DoH front-end hostnames every client
     /// bootstraps through. Without the pin, whether a bootstrap lookup
     /// hits or misses would depend on which worker happened to resolve
     /// the name first, making handler latency (and the telemetry
-    /// snapshot) a function of the shard layout.
-    pub fn prewarm(&self, name: &Name, rtype: RecordType, answers: Vec<ResourceRecord>) {
-        self.cache_put(
-            (name.clone(), rtype),
-            CacheEntry {
-                answers,
-                rcode: Rcode::NoError,
-                expires: SimTime::from_micros(u64::MAX),
-            },
-        );
+    /// snapshot) a function of the shard layout. Taking `&mut self`
+    /// means every pin is in place before the resolver is shared.
+    pub fn prewarm(&mut self, name: &Name, rtype: RecordType, answers: Vec<ResourceRecord>) {
+        self.pins.insert((name.clone(), rtype), answers);
     }
 
     fn cache_get(&self, key: &(Name, RecordType), now: SimTime) -> Option<CacheEntry> {
+        if let Some(answers) = self.pins.get(key) {
+            return Some(CacheEntry {
+                answers: answers.clone(),
+                rcode: Rcode::NoError,
+                expires: SimTime::from_micros(u64::MAX),
+            });
+        }
         // doe-lint: allow(D006) — hit/miss is shard-layout-invariant: every repeated
         // name is a permanent pin (`prewarm`), all other keys are per-target unique
         let cache = self.cache.lock();
@@ -508,32 +514,35 @@ mod tests {
         assert_eq!(log.lock().len(), 5);
     }
 
-    #[test]
-    fn prewarmed_entry_hits_without_upstream_traffic() {
+    /// A resolver with `name` pinned to `front`. The name's registered
+    /// upstream is never bound: a cache miss would fail, so a correct
+    /// answer proves the pin served the query.
+    fn pinned_resolver(
+        name: &Name,
+        front: Ipv4Addr,
+        cache_capacity: usize,
+    ) -> (Network, Ipv4Addr, Ipv4Addr, Arc<RecursiveResolver>) {
         let mut net = Network::new(NetworkConfig::default(), 22);
         let client: Ipv4Addr = "198.51.100.7".parse().unwrap();
         let resolver: Ipv4Addr = "9.9.9.10".parse().unwrap();
         net.add_host(HostMeta::new(client));
         net.add_host(HostMeta::new(resolver));
-
-        let name = Name::parse("doh.example.net").unwrap();
-        let front: Ipv4Addr = "203.0.113.80".parse().unwrap();
-        // Registered upstream that is never bound: a cache miss would fail,
-        // so a correct answer proves the pinned entry served the query.
         let mut upstreams = UpstreamMap::new();
         upstreams.add(name.clone(), "203.0.113.54".parse().unwrap());
-        let recursive = Arc::new(RecursiveResolver::new(
+        let mut recursive = RecursiveResolver::new(
             upstreams,
             RecursiveConfig {
+                cache_capacity,
                 servfail_rate: 0.0,
                 ..RecursiveConfig::default()
             },
-        ));
+        );
         recursive.prewarm(
-            &name,
+            name,
             RecordType::A,
             vec![ResourceRecord::new(name.clone(), 300, RData::A(front))],
         );
+        let recursive = Arc::new(recursive);
         net.bind_udp(
             resolver,
             53,
@@ -541,6 +550,14 @@ mod tests {
                 Arc::clone(&recursive) as Arc<dyn DnsResponder>
             )),
         );
+        (net, client, resolver, recursive)
+    }
+
+    #[test]
+    fn prewarmed_entry_hits_without_upstream_traffic() {
+        let name = Name::parse("doh.example.net").unwrap();
+        let front: Ipv4Addr = "203.0.113.80".parse().unwrap();
+        let (mut net, client, resolver, recursive) = pinned_resolver(&name, front, 4096);
 
         let q = dnswire::builder::query(9, "doh.example.net", RecordType::A).unwrap();
         let reply =
@@ -550,6 +567,28 @@ mod tests {
         let stats = recursive.stats();
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.upstream_queries, 0);
+    }
+
+    #[test]
+    fn pins_survive_cache_overfill() {
+        let name = Name::parse("doh.example.net").unwrap();
+        let front: Ipv4Addr = "203.0.113.80".parse().unwrap();
+        let capacity = 8;
+        let (mut net, client, resolver, recursive) = pinned_resolver(&name, front, capacity);
+        // capacity + 1 other keys: enough to evict anything FIFO can reach.
+        for i in 0..=capacity as u16 {
+            let q =
+                dnswire::builder::query(i, &format!("fill{i}.example.com"), RecordType::A).unwrap();
+            do53_udp_query(&mut net, client, resolver, &q, SimDuration::from_secs(5), 0).unwrap();
+        }
+        assert_eq!(recursive.cache_len(), capacity);
+
+        let q = dnswire::builder::query(99, "doh.example.net", RecordType::A).unwrap();
+        let reply =
+            do53_udp_query(&mut net, client, resolver, &q, SimDuration::from_secs(5), 0).unwrap();
+        assert_eq!(reply.message.rcode(), Rcode::NoError);
+        assert_eq!(reply.message.answers[0].rdata, RData::A(front));
+        assert_eq!(recursive.stats().upstream_queries, 0);
     }
 
     #[test]

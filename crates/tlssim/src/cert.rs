@@ -16,8 +16,8 @@ pub struct KeyId(pub u64);
 
 /// FNV-1a, the deterministic digest used for simulated signatures.
 ///
-/// Public so sibling protocol simulations (DoQ, DNSCrypt) can derive
-/// domain-separated secrets from the same primitive.
+/// Public so sibling protocol simulations can derive domain-separated
+/// secrets from the same primitive.
 pub fn fnv1a(data: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in data {

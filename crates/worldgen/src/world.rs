@@ -278,13 +278,13 @@ impl World {
                 .anycast()
                 .label("bootstrap-resolver"),
         );
-        let bootstrap_responder = Arc::new(RecursiveResolver::new(
+        let mut bootstrap_responder = RecursiveResolver::new(
             upstreams.clone(),
             RecursiveConfig {
                 servfail_rate: 0.0,
                 ..RecursiveConfig::default()
             },
-        ));
+        );
         // Real deployments keep the big DoH front-end hostnames permanently
         // hot, so pin them: every bootstrap lookup is a cache hit no matter
         // which worker asks first or how the clients are sharded.
@@ -296,7 +296,7 @@ impl World {
         net.bind_udp(
             anchors::BOOTSTRAP_RESOLVER,
             53,
-            Arc::new(Do53UdpService::new(bootstrap_responder)),
+            Arc::new(Do53UdpService::new(Arc::new(bootstrap_responder))),
         );
 
         // ---- Middleboxes --------------------------------------------------

@@ -15,12 +15,13 @@ cargo build --release --offline
 echo "==> tier-1: cargo test -q"
 cargo test -q --offline --workspace
 
-echo "==> dnswire: owned-vs-view differential + adversarial corpus"
-# The zero-copy view decoder must accept/reject byte-for-byte like the
-# owned decoder, with the same error variants, on generated messages,
-# mutation fuzz and the pinned adversarial fixtures. The scan hot paths
-# classify replies through the view, so this equivalence is what makes
-# the 2.5M-host sweep trustworthy.
+echo "==> dnswire: round-trip suite + adversarial corpus"
+# One validation walk (MessageView::parse) serves both the zero-copy view
+# and the owned Message::decode. Generated messages must decode to
+# themselves with every view accessor agreeing; mutation fuzz must never
+# panic and must decode stably; the pinned adversarial fixtures must keep
+# their exact error variants. The scan hot paths classify replies through
+# the view, so this is what makes the 2.5M-host sweep trustworthy.
 cargo test -q --offline -p dnswire --test differential --test adversarial
 
 echo "==> telemetry: repro --metrics determinism (shards 1 vs 8)"
@@ -114,35 +115,36 @@ rm -rf results/priv_a results/priv_b
 echo "    padding-leakage byte-stable; artifact archived as results/privacy.json"
 
 echo "==> doe-lint (determinism contract: interprocedural + dataflow + summaries)"
-# One pass archives the artifacts (v4 report, v2 call graph, SARIF); a
-# second pass re-derives all three so the gate catches any
-# nondeterminism in the analyzer itself — including the effect-summary
-# fixpoint and the lock-order cycle search. A stale entry in lint.toml
-# (renamed function, dropped rule root) is a hard error inside the run,
-# so the D006–D015 roots cannot rot silently.
+# One pass archives the report and SARIF; a second pass re-derives both
+# plus the call graph so the gate catches any nondeterminism in the
+# analyzer itself — including the effect-summary fixpoint and the
+# lock-order cycle search. The call graph is not archived: both exports
+# go to a temp dir and are byte-compared there. A stale entry in
+# lint.toml (renamed function, dropped rule root) is a hard error inside
+# the run, so the D006–D015 roots cannot rot silently.
+lint_tmp="$(mktemp -d)"
+trap 'rm -rf "$lint_tmp"' EXIT
 cargo run -q --release -p doe-lint --offline -- \
-    --json-out results/doe-lint.json --graph-out results/callgraph.json \
+    --json-out results/doe-lint.json --graph-out "$lint_tmp/callgraph.json" \
     --sarif results/doe-lint.sarif
 cargo run -q --release -p doe-lint --offline -- \
-    --quiet --json-out results/doe-lint.second.json \
-    --graph-out results/callgraph.second.json \
-    --sarif results/doe-lint.second.sarif
-cmp results/callgraph.json results/callgraph.second.json || {
-    echo "FAIL: callgraph.json differs between two doe-lint runs" >&2
+    --quiet --json-out "$lint_tmp/doe-lint.second.json" \
+    --graph-out "$lint_tmp/callgraph.second.json" \
+    --sarif "$lint_tmp/doe-lint.second.sarif"
+cmp "$lint_tmp/callgraph.json" "$lint_tmp/callgraph.second.json" || {
+    echo "FAIL: call graph differs between two doe-lint runs" >&2
     exit 1
 }
-cmp results/doe-lint.json results/doe-lint.second.json || {
+cmp results/doe-lint.json "$lint_tmp/doe-lint.second.json" || {
     echo "FAIL: doe-lint.json differs between two doe-lint runs" >&2
     exit 1
 }
-cmp results/doe-lint.sarif results/doe-lint.second.sarif || {
+cmp results/doe-lint.sarif "$lint_tmp/doe-lint.second.sarif" || {
     echo "FAIL: SARIF export differs between two doe-lint runs" >&2
     exit 1
 }
-rm -f results/callgraph.second.json results/doe-lint.second.json \
-      results/doe-lint.second.sarif
-grep -q '"rule": "D006"\|"shard_entries"\|"nodes"' results/callgraph.json || {
-    echo "FAIL: results/callgraph.json lost its node section" >&2
+grep -q '"rule": "D006"\|"shard_entries"\|"nodes"' "$lint_tmp/callgraph.json" || {
+    echo "FAIL: call graph export lost its node section" >&2
     exit 1
 }
 grep -q '"version": 4' results/doe-lint.json || {
@@ -173,7 +175,7 @@ for roots in step_entries time_entries hot_entries \
         exit 1
     }
 done
-echo "    doe-lint.json (v4) + callgraph.json + doe-lint.sarif archived, all byte-stable"
+echo "    doe-lint.json (v4) + doe-lint.sarif archived, call graph compared in a temp dir, all byte-stable"
 
 if [[ "${FULL_SCALE:-0}" == "1" ]]; then
     echo "==> full scale: 2.5M-host sweep determinism (FULL_SCALE=1)"
