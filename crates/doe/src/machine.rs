@@ -17,10 +17,11 @@
 //!   try again, up to the attempt budget.
 //!
 //! Determinism: each machine owns a `SmallRng` seeded from
-//! `mix_seed(salt, client_index)` and swaps it into the [`Network`]
-//! around every operation ([`Network::swap_rng`]), so a client's draw
-//! sequence is identical no matter how machines interleave or how many
-//! shards the fleet is split across.
+//! `mix_seed(salt, client_index)`, exposed through
+//! [`EventMachine::rng`]. The scheduler installs it as the [`Network`]
+//! RNG around every event, so a client's draw sequence is identical no
+//! matter how machines interleave or how many shards the fleet is split
+//! across.
 
 use crate::stub::{StubConfig, StubResolver};
 use dnswire::RecordType;
@@ -179,18 +180,13 @@ impl StubMachine {
         net.schedule_after(delay, self.index, SchedEvent::Timer { token: 0 });
     }
 
-    /// Issue attempt `attempt` of the current logical query. The machine
-    /// RNG is swapped into the network for the duration, so the draw
-    /// sequence belongs to this client alone.
+    /// Issue attempt `attempt` of the current logical query.
     fn issue_query(&mut self, net: &mut Network, attempt: u32) {
         let name = format!(
             "q{}a{}.c{}.{}",
             self.completed, attempt, self.client, self.pacing.apex
         );
-        net.swap_rng(&mut self.rng);
-        let outcome = self.stub.resolve(net, self.src, &name, RecordType::A);
-        net.swap_rng(&mut self.rng);
-        match outcome {
+        match self.stub.resolve(net, self.src, &name, RecordType::A) {
             Ok(reply) => {
                 self.phase = Phase::Waiting {
                     latency_us: reply.latency.as_micros(),
@@ -245,7 +241,7 @@ impl StubMachine {
         // With the default idle window at 2× the mean, a fifth of gaps
         // outlive the pooled connection — both reuse and idle expiry are
         // routinely exercised.
-        let frac: f64 = self.rng.gen_range(0.2..2.5);
+        let frac: f64 = net.rng().gen_range(0.2..2.5);
         let think = SimDuration::from_micros(
             (self.pacing.think_mean.as_micros() as f64 * frac).round() as u64,
         );
@@ -270,6 +266,10 @@ impl StubMachine {
 }
 
 impl EventMachine for StubMachine {
+    fn rng(&mut self) -> &mut SmallRng {
+        &mut self.rng
+    }
+
     fn on_event(&mut self, net: &mut Network, fired: Fired) {
         if matches!(self.phase, Phase::Done) {
             return; // stale events after completion

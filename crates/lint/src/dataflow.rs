@@ -23,12 +23,6 @@
 //! type), which keeps the rule's false-positive rate near zero at the
 //! cost of missing identity wrappers.
 //!
-//! Independently, D010's pairing half is a path-sensitive parity walk
-//! over the body's brace tree: every `swap_rng` toggles the "foreign
-//! RNG installed" bit, `if`/`else` chains must agree on the toggle
-//! parity, `match`/loop bodies must be net-neutral, and every exit
-//! (`?`, `return`, fall-off-the-end) must see even parity.
-//!
 //! Findings attach to [`crate::parser::FnItem::flows`]; the graph layer
 //! reports them only for functions reachable from the `[dataflow]`
 //! entry sets, each carrying a human-readable step chain.
@@ -41,9 +35,6 @@ use crate::parser::ParsedFile;
 /// What a flow finding proves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowKind {
-    /// `swap_rng` parity differs across paths or an exit path leaves a
-    /// foreign RNG installed (D010).
-    RngUnbalanced,
     /// A per-machine RNG value reaches a shared `DataPlane` write (D010).
     RngLeak,
     /// A raw integer literal or `std::time::Duration` reaches a `sched`
@@ -55,7 +46,7 @@ impl FlowKind {
     /// The rule this flow surfaces under.
     pub fn rule(self) -> &'static str {
         match self {
-            FlowKind::RngUnbalanced | FlowKind::RngLeak => "D010",
+            FlowKind::RngLeak => "D010",
             FlowKind::RawTime => "D011",
         }
     }
@@ -63,7 +54,6 @@ impl FlowKind {
     /// Stable machine key for JSON output.
     pub fn key(self) -> &'static str {
         match self {
-            FlowKind::RngUnbalanced => "rng_unbalanced",
             FlowKind::RngLeak => "rng_leak",
             FlowKind::RawTime => "raw_time",
         }
@@ -134,7 +124,7 @@ pub fn analyze(toks: &[Tok], parsed: &mut ParsedFile) {
             k += 1;
         }
         let scan = FnScan { toks, view: &view };
-        let mut flows = scan.run(item.line);
+        let mut flows = scan.run();
         flows.sort_by_key(|f| f.line);
         item.flows = flows;
     }
@@ -189,22 +179,11 @@ impl<'a> FnScan<'a> {
         self.punct_at(vi + 1, '(') || (self.punct_at(vi + 1, ':') && self.punct_at(vi + 2, ':'))
     }
 
-    fn run(&self, fn_line: u32) -> Vec<Flow> {
+    fn run(&self) -> Vec<Flow> {
         let mut flows = Vec::new();
         let bindings = self.bindings();
         self.time_sinks(&bindings, &mut flows);
         self.rng_leaks(&bindings, &mut flows);
-        if (0..self.view.len()).any(|i| self.ident_at(i) == Some("swap_rng")) {
-            let mut swaps = Vec::new();
-            let total = self.swap_parity(0, self.view.len(), 0, &mut swaps, &mut flows);
-            if !total.is_multiple_of(2) {
-                flows.push(self.unbalanced(
-                    fn_line,
-                    &swaps,
-                    "function returns with the per-machine RNG still installed",
-                ));
-            }
-        }
         flows
     }
 
@@ -528,167 +507,6 @@ impl<'a> FnScan<'a> {
             }
         }
     }
-
-    // ---- swap_rng pairing (D010) ---------------------------------------
-
-    fn unbalanced(&self, line: u32, swaps: &[u32], exit: &str) -> Flow {
-        let mut steps: Vec<String> = swaps
-            .iter()
-            .map(|l| format!("`swap_rng` call (line {l})"))
-            .collect();
-        steps.push(format!("{exit} (line {line})"));
-        Flow {
-            line,
-            kind: FlowKind::RngUnbalanced,
-            what: "swap_rng not restored on all exit paths".to_string(),
-            steps,
-        }
-    }
-
-    /// View index of the `}` matching the `{` at view index `open`.
-    fn brace_close(&self, open: usize) -> usize {
-        let mut depth = 0i32;
-        let mut k = open;
-        while k < self.view.len() {
-            if self.punct_at(k, '{') {
-                depth += 1;
-            } else if self.punct_at(k, '}') {
-                depth -= 1;
-                if depth == 0 {
-                    return k;
-                }
-            }
-            k += 1;
-        }
-        self.view.len()
-    }
-
-    /// First `{` at or after `from` (the body of an `if`/`match`/loop
-    /// header — conditions cannot carry bare struct literals).
-    fn next_brace(&self, from: usize, end: usize) -> Option<usize> {
-        (from..end.min(self.view.len())).find(|&k| self.punct_at(k, '{'))
-    }
-
-    /// Walk `[i, end)` at one brace level, returning the number of
-    /// `swap_rng` calls on the straight-line path. `prefix` is the call
-    /// count accumulated on the path into this block; exits check
-    /// `(prefix + local) % 2`. Branch constructs recurse and must agree.
-    fn swap_parity(
-        &self,
-        mut i: usize,
-        end: usize,
-        prefix: u32,
-        swaps: &mut Vec<u32>,
-        flows: &mut Vec<Flow>,
-    ) -> u32 {
-        let mut local: u32 = 0;
-        while i < end {
-            let line = self.tok(i).line;
-            match self.ident_at(i) {
-                Some("swap_rng") if self.punct_at(i + 1, '(') => {
-                    swaps.push(line);
-                    local += 1;
-                    i += 1;
-                }
-                Some("if") => {
-                    let mut parities: Vec<u32> = Vec::new();
-                    let mut has_else = false;
-                    let mut k = i;
-                    while let Some(open) = self.next_brace(k, end) {
-                        let close = self.brace_close(open);
-                        parities.push(
-                            self.swap_parity(open + 1, close, prefix + local, swaps, flows) % 2,
-                        );
-                        k = close + 1;
-                        if self.ident_at(k) == Some("else") {
-                            if self.ident_at(k + 1) == Some("if") {
-                                k += 1; // chain continues at the `if`
-                                continue;
-                            }
-                            if let Some(eopen) = self.next_brace(k, end) {
-                                let eclose = self.brace_close(eopen);
-                                parities.push(
-                                    self.swap_parity(
-                                        eopen + 1,
-                                        eclose,
-                                        prefix + local,
-                                        swaps,
-                                        flows,
-                                    ) % 2,
-                                );
-                                has_else = true;
-                                k = eclose + 1;
-                            }
-                        }
-                        break;
-                    }
-                    let first = parities.first().copied().unwrap_or(0);
-                    if parities.iter().any(|&p| p != first) {
-                        flows.push(self.unbalanced(
-                            line,
-                            swaps,
-                            "swap_rng parity differs across if/else branches",
-                        ));
-                    } else if !has_else && first != 0 {
-                        flows.push(self.unbalanced(
-                            line,
-                            swaps,
-                            "if-branch swaps the RNG but the fall-through path does not",
-                        ));
-                    } else {
-                        local += first;
-                    }
-                    i = k;
-                }
-                Some("match" | "loop" | "while" | "for") => {
-                    let kw = self.ident_at(i).unwrap_or_default().to_string();
-                    let Some(open) = self.next_brace(i + 1, end) else {
-                        i += 1;
-                        continue;
-                    };
-                    let close = self.brace_close(open);
-                    let inner = self.swap_parity(open + 1, close, prefix + local, swaps, flows);
-                    if !inner.is_multiple_of(2) {
-                        flows.push(self.unbalanced(
-                            line,
-                            swaps,
-                            &format!("`{kw}` body changes swap_rng parity"),
-                        ));
-                    }
-                    i = close + 1;
-                }
-                Some("return") => {
-                    if !(prefix + local).is_multiple_of(2) {
-                        flows.push(self.unbalanced(
-                            line,
-                            swaps,
-                            "`return` leaves the per-machine RNG installed",
-                        ));
-                    }
-                    i += 1;
-                }
-                _ => {
-                    if self.punct_at(i, '?') && self.ident_at(i + 1) != Some("Sized") {
-                        if !(prefix + local).is_multiple_of(2) {
-                            flows.push(self.unbalanced(
-                                line,
-                                swaps,
-                                "`?` early return leaves the per-machine RNG installed",
-                            ));
-                        }
-                        i += 1;
-                    } else if self.punct_at(i, '{') {
-                        let close = self.brace_close(i);
-                        local += self.swap_parity(i + 1, close, prefix + local, swaps, flows);
-                        i = close + 1;
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-        }
-        local
-    }
 }
 
 #[cfg(test)]
@@ -774,89 +592,6 @@ mod tests {
             }
         "#;
         assert!(flows_of(src).is_empty());
-    }
-
-    #[test]
-    fn question_mark_between_swaps_is_flagged() {
-        let src = r#"
-            fn f(&mut self) -> Result<(), E> {
-                self.net.swap_rng(&mut self.rng);
-                self.work()?;
-                self.net.swap_rng(&mut self.rng);
-                Ok(())
-            }
-        "#;
-        let fs = flows_of(src);
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        assert_eq!(fs[0].kind, FlowKind::RngUnbalanced);
-        assert_eq!(fs[0].line, 4);
-        assert!(fs[0].steps.iter().any(|s| s.contains("`?` early return")));
-    }
-
-    #[test]
-    fn question_mark_after_restore_is_clean() {
-        let src = r#"
-            fn f(&mut self) -> Result<(), E> {
-                self.net.swap_rng(&mut self.rng);
-                let r = self.work();
-                self.net.swap_rng(&mut self.rng);
-                r?;
-                Ok(())
-            }
-        "#;
-        assert!(flows_of(src).is_empty());
-    }
-
-    #[test]
-    fn balanced_if_else_swaps_are_clean() {
-        let src = r#"
-            fn f(&mut self) {
-                if self.fast {
-                    self.net.swap_rng(&mut self.rng);
-                    self.step_fast();
-                    self.net.swap_rng(&mut self.rng);
-                } else if self.slow {
-                    self.net.swap_rng(&mut self.rng);
-                    self.step_slow();
-                    self.net.swap_rng(&mut self.rng);
-                } else {
-                    self.idle();
-                }
-            }
-        "#;
-        assert!(flows_of(src).is_empty());
-    }
-
-    #[test]
-    fn missing_swap_out_in_one_branch_is_flagged() {
-        let src = r#"
-            fn f(&mut self) {
-                self.net.swap_rng(&mut self.rng);
-                if self.fast {
-                    self.net.swap_rng(&mut self.rng);
-                }
-                self.tail();
-            }
-        "#;
-        let fs = flows_of(src);
-        assert!(
-            fs.iter().any(|f| f.kind == FlowKind::RngUnbalanced),
-            "{fs:?}"
-        );
-    }
-
-    #[test]
-    fn fall_off_end_with_rng_installed_is_flagged() {
-        let src = r#"
-            fn f(&mut self) {
-                self.net.swap_rng(&mut self.rng);
-                self.step();
-            }
-        "#;
-        let fs = flows_of(src);
-        assert_eq!(fs.len(), 1);
-        assert_eq!(fs[0].kind, FlowKind::RngUnbalanced);
-        assert!(fs[0].steps.iter().any(|s| s.contains("function returns")));
     }
 
     #[test]

@@ -28,9 +28,9 @@
 //! * **D009** — no blocking operation (sleeps, channel receives, real
 //!   I/O, lock-in-loop) reachable from the event-machine step entry
 //!   points (interprocedural).
-//! * **D010** — per-machine RNG confinement: `swap_rng` paired on all
-//!   exit paths, and no RNG-derived value flowing into shared
-//!   `DataPlane` writes (interprocedural + dataflow, see [`dataflow`]).
+//! * **D010** — per-machine RNG confinement: no RNG-derived value
+//!   flowing into shared `DataPlane` writes (interprocedural + dataflow,
+//!   see [`dataflow`]).
 //! * **D011** — virtual-time unit hygiene: no raw integer literal or
 //!   `std::time::Duration` flowing into `sched` deadline APIs except
 //!   through `SimInstant`/`SimDuration` (dataflow).

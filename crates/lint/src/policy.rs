@@ -45,8 +45,8 @@ pub struct GraphPolicy {
 #[derive(Debug, Clone, Default)]
 pub struct DataflowPolicy {
     /// D009 + D010 roots: the event-machine step implementations — no
-    /// blocking operation may be reachable, `swap_rng` must pair, and
-    /// per-machine RNG values must not reach shared `DataPlane` writes.
+    /// blocking operation may be reachable, and per-machine RNG values
+    /// must not reach shared `DataPlane` writes.
     pub step_entries: Vec<String>,
     /// D011 roots: functions whose call trees feed the `sched` deadline
     /// APIs — raw time values must pass the `Sim*` constructors.

@@ -20,8 +20,8 @@
 //!   lock-in-loop) is reachable; one stalled handler would skew every
 //!   virtual-time measurement behind it.
 //! * **D010 RNG confinement** — on functions reachable from the step
-//!   entry points, the dataflow pass's `swap_rng`-pairing and RNG-leak
-//!   findings (see [`crate::dataflow`]) become errors.
+//!   entry points, the dataflow pass's RNG-leak findings (see
+//!   [`crate::dataflow`]) become errors.
 //! * **D011 time-unit hygiene** — on functions reachable from the
 //!   time entry points, raw-time flows into `sched` deadline APIs
 //!   become errors.
@@ -756,22 +756,25 @@ mod tests {
     }
 
     #[test]
-    fn unbalanced_swap_reachable_from_step_is_d010() {
+    fn rng_leak_reachable_from_step_is_d010() {
         let src = r#"
             pub struct M;
             impl M {
                 pub fn on_event(&mut self, net: &mut Net) {
-                    net.swap_rng(&mut self.rng);
-                    self.step();
+                    self.step(net);
                 }
-                fn step(&mut self) {}
+                fn step(&mut self, net: &mut Net) {
+                    let jitter = net.rng().gen_range(0..9);
+                    net.plane_mut().record(jitter);
+                }
             }
         "#;
         let g = build(&[items(&[], src)]);
         let f = dcheck(&g, &dp(&["M::on_event"], &[], &[])).unwrap();
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "D010");
-        assert!(f[0].flow.iter().any(|s| s.contains("swap_rng")));
+        assert_eq!(f[0].chain.len(), 2, "{f:?}");
+        assert!(f[0].flow.iter().any(|s| s.contains("plane_mut")));
     }
 
     #[test]

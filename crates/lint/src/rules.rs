@@ -46,7 +46,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "D010",
-        "per-machine RNG confined: swap_rng paired, no flow into shared DataPlane",
+        "per-machine RNG confined: no RNG value flows into shared DataPlane",
     ),
     (
         "D011",

@@ -1,19 +1,31 @@
-//! Dataflow fixture: every exit path restores the shared RNG before it
-//! can propagate — the `?` fires only after the swap-out.
-pub struct Net;
+//! Dataflow fixture: the RNG draw stays in machine-local state; the
+//! shared data-plane write carries no per-machine randomness.
+pub struct Net {
+    rng: Rng,
+    plane: Vec<u64>,
+}
 
 impl Net {
-    pub fn swap_rng(&mut self, _seat: u64) {}
+    pub fn rng(&mut self) -> &mut Rng {
+        &mut self.rng
+    }
+    pub fn plane_mut(&mut self) -> &mut Vec<u64> {
+        &mut self.plane
+    }
 }
 
-fn fallible() -> Result<u64, ()> {
-    Ok(3)
+pub struct Rng(u64);
+
+impl Rng {
+    pub fn gen_range(&mut self, r: std::ops::Range<u64>) -> u64 {
+        self.0 = self.0.wrapping_add(1);
+        r.start
+    }
 }
 
-pub fn on_event(net: &mut Net) -> Result<u64, ()> {
-    net.swap_rng(7);
-    let v = fallible();
-    net.swap_rng(7);
-    let v = v?;
-    Ok(v)
+pub fn on_event(net: &mut Net, backlog: &mut Vec<u64>) {
+    let jitter = net.rng().gen_range(0..9);
+    backlog.push(jitter);
+    let epoch = 3;
+    net.plane_mut().push(epoch);
 }

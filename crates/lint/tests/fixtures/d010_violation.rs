@@ -1,19 +1,30 @@
-//! Dataflow fixture: the step swaps the per-machine RNG in, but a `?`
-//! return between the swap-in and the swap-out can leave it installed
-//! for whichever machine steps next.
-pub struct Net;
+//! Dataflow fixture: the step draws from the per-machine RNG and writes
+//! the value into the shared data plane, so every machine stepping
+//! after it on the shard sees state that depends on dispatch order.
+pub struct Net {
+    rng: Rng,
+    plane: Vec<u64>,
+}
 
 impl Net {
-    pub fn swap_rng(&mut self, _seat: u64) {}
+    pub fn rng(&mut self) -> &mut Rng {
+        &mut self.rng
+    }
+    pub fn plane_mut(&mut self) -> &mut Vec<u64> {
+        &mut self.plane
+    }
 }
 
-fn fallible() -> Result<u64, ()> {
-    Ok(3)
+pub struct Rng(u64);
+
+impl Rng {
+    pub fn gen_range(&mut self, r: std::ops::Range<u64>) -> u64 {
+        self.0 = self.0.wrapping_add(1);
+        r.start
+    }
 }
 
-pub fn on_event(net: &mut Net) -> Result<u64, ()> {
-    net.swap_rng(7);
-    let v = fallible()?;
-    net.swap_rng(7);
-    Ok(v)
+pub fn on_event(net: &mut Net) {
+    let jitter = net.rng().gen_range(0..9);
+    net.plane_mut().push(jitter);
 }

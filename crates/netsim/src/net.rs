@@ -664,13 +664,16 @@ impl Network {
         }
     }
 
-    /// Swap the shard RNG with a machine-owned stream. Event machines
-    /// wrap every network operation in a swap pair so each client draws
-    /// from its own `mix_seed(salt, client_index)` stream no matter how
-    /// machines interleave on the heap — the bit-identity contract from
-    /// the per-client loops, preserved under event-driven execution.
-    pub fn swap_rng(&mut self, rng: &mut SmallRng) {
+    /// Run `f` with `rng` installed as the shard RNG, then restore the
+    /// shard stream (and hand `rng` back advanced by whatever `f` drew).
+    /// Per-flow code that is not an [`crate::sched::EventMachine`] uses
+    /// this to draw from its own `mix_seed(salt, index)` stream; event
+    /// machines get the same scoping from [`crate::sched::run_machines`].
+    pub fn with_rng<R>(&mut self, rng: &mut SmallRng, f: impl FnOnce(&mut Network) -> R) -> R {
         std::mem::swap(&mut self.shard.rng, rng);
+        let out = f(self);
+        std::mem::swap(&mut self.shard.rng, rng);
+        out
     }
 
     /// The geo database.

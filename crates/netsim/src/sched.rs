@@ -17,6 +17,7 @@
 
 use crate::net::Network;
 use crate::time::SimInstant;
+use rand::rngs::SmallRng;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -223,22 +224,35 @@ impl Scheduler {
 
 /// A client state machine driven by scheduled events. Implementations
 /// perform one bounded step per event and schedule their successors via
-/// [`Network::schedule_after`]; per-client determinism comes from a
-/// machine-owned RNG swapped in around network operations
-/// ([`Network::swap_rng`]).
+/// [`Network::schedule_after`].
+///
+/// RNG contract: every machine owns a stream (typically seeded from
+/// `mix_seed(salt, client_index)`) and exposes it through
+/// [`EventMachine::rng`]. [`run_machines`] installs that stream as the
+/// shard RNG for the duration of each [`EventMachine::on_event`] call
+/// and restores the shard stream afterwards, so inside `on_event` a
+/// machine draws only through `net.rng()`. A client's draw sequence is
+/// then identical no matter how machines interleave or how many shards
+/// the fleet is split across.
 pub trait EventMachine {
+    /// The machine-owned RNG stream, installed around every event.
+    fn rng(&mut self) -> &mut SmallRng;
+
     /// Handle one fired event addressed to this machine.
     fn on_event(&mut self, net: &mut Network, fired: Fired);
 }
 
 /// Drive `machines` until the shard's event heap drains. `fired.machine`
 /// indexes into the slice; events addressed past its end are dropped
-/// (machines must only schedule for indices they own). On completion the
-/// shard-invariant `sched.queue.depth` gauge is recorded.
+/// (machines must only schedule for indices they own). Each event runs
+/// with the addressed machine's RNG installed as the shard RNG. On
+/// completion the shard-invariant `sched.queue.depth` gauge is recorded.
 pub fn run_machines<M: EventMachine>(net: &mut Network, machines: &mut [M]) {
     while let Some(fired) = net.next_event() {
         if let Some(m) = machines.get_mut(fired.machine as usize) {
+            std::mem::swap(net.rng(), m.rng());
             m.on_event(net, fired);
+            std::mem::swap(net.rng(), m.rng());
         }
     }
     net.record_sched_gauge();
@@ -247,8 +261,10 @@ pub fn run_machines<M: EventMachine>(net: &mut Network, machines: &mut [M]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::{mix_seed, NetworkConfig};
     use crate::time::SimDuration;
     use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
 
     fn at(us: u64) -> SimInstant {
         SimInstant::EPOCH + SimDuration::from_micros(us)
@@ -299,6 +315,107 @@ mod tests {
         assert_eq!(s.load_stats().fired, [1, 1, 1, 0]);
         assert!(s.is_empty());
         assert_eq!(s.peek_at(), None);
+    }
+
+    /// Toy machine: draws one value from `net.rng()` per event and
+    /// reschedules itself after a gap taken from that draw.
+    struct Drawer {
+        index: u64,
+        rng: SmallRng,
+        left: u32,
+        draws: Vec<u64>,
+    }
+
+    impl EventMachine for Drawer {
+        fn rng(&mut self) -> &mut SmallRng {
+            &mut self.rng
+        }
+
+        fn on_event(&mut self, net: &mut Network, _fired: Fired) {
+            let v = net.rng().gen::<u64>();
+            self.draws.push(v);
+            if self.left > 0 {
+                self.left -= 1;
+                let gap = SimDuration::from_micros(1 + v % 7);
+                net.schedule_after(gap, self.index, SchedEvent::Timer { token: 0 });
+            }
+        }
+    }
+
+    fn fresh_net() -> Network {
+        Network::new(NetworkConfig::default(), 77)
+    }
+
+    /// Run one shard holding `clients` (client id, start offset µs) and
+    /// return each client's draw sequence plus the network afterwards.
+    fn run_drawers(clients: &[(u64, u64)]) -> (Vec<(u64, Vec<u64>)>, Network) {
+        let mut net = fresh_net();
+        let mut machines: Vec<Drawer> = clients
+            .iter()
+            .enumerate()
+            .map(|(i, &(client, _))| Drawer {
+                index: i as u64,
+                rng: SmallRng::seed_from_u64(mix_seed(31, client)),
+                left: 12,
+                draws: Vec::new(),
+            })
+            .collect();
+        for (m, &(_, offset)) in machines.iter().zip(clients) {
+            let delay = SimDuration::from_micros(offset);
+            net.schedule_after(delay, m.index, SchedEvent::Timer { token: 0 });
+        }
+        run_machines(&mut net, &mut machines);
+        let draws = clients
+            .iter()
+            .zip(machines)
+            .map(|(&(client, _), m)| (client, m.draws))
+            .collect();
+        (draws, net)
+    }
+
+    #[test]
+    fn machine_streams_ignore_interleaving() {
+        let alone: Vec<Vec<u64>> = (0..5u64)
+            .map(|c| run_drawers(&[(c, 0)]).0.remove(0).1)
+            .collect();
+        assert!(alone.iter().all(|d| d.len() == 13));
+        assert_ne!(alone[0], alone[1], "clients must own distinct streams");
+        let offsets = [0u64, 3, 5, 11, 17];
+        for shift in 0..offsets.len() {
+            // Permute both the start offsets and the slice order.
+            let clients: Vec<(u64, u64)> = (0..5u64)
+                .rev()
+                .map(|c| (c, offsets[(c as usize + shift) % offsets.len()]))
+                .collect();
+            let (draws, _) = run_drawers(&clients);
+            for (client, seq) in draws {
+                assert_eq!(
+                    seq, alone[client as usize],
+                    "client {client}, shift {shift}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn run_machines_leaves_the_shard_stream_untouched() {
+        let (_, mut net) = run_drawers(&[(0, 2), (1, 0), (2, 9)]);
+        assert_eq!(net.rng().gen::<u64>(), fresh_net().rng().gen::<u64>());
+    }
+
+    #[test]
+    fn with_rng_scopes_the_installed_stream() {
+        let mut net = fresh_net();
+        let mut own = SmallRng::seed_from_u64(mix_seed(31, 4));
+        let mut expect = SmallRng::seed_from_u64(mix_seed(31, 4));
+        let drawn = net.with_rng(&mut own, |n| n.rng().gen::<u64>());
+        assert_eq!(drawn, expect.gen::<u64>());
+        assert_eq!(
+            own.gen::<u64>(),
+            expect.gen::<u64>(),
+            "stream handed back advanced"
+        );
+        assert_eq!(net.rng().gen::<u64>(), fresh_net().rng().gen::<u64>());
     }
 
     #[test]

@@ -137,6 +137,14 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_is_a_protocol_violation_not_a_stack_overflow() {
+        assert!(matches!(
+            HandshakeMsg::decode(&[b'['; 200_000]),
+            Err(TlsError::ProtocolViolation(_))
+        ));
+    }
+
+    #[test]
     fn default_costs_are_modest() {
         let c = TlsCosts::default();
         assert!(c.handshake > c.resumption);

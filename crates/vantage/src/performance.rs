@@ -138,7 +138,7 @@ enum PerfSession {
 
 /// One client's measurement as an event-driven state machine. Owns its
 /// RNG stream (`mix_seed(salt, ci)`, the same stream the per-client loop
-/// used) and swaps it into the network around every step.
+/// used), which the scheduler installs in the network around every step.
 struct PerfMachine {
     /// Dense per-shard heap address.
     index: u64,
@@ -363,18 +363,17 @@ impl PerfMachine {
 }
 
 impl EventMachine for PerfMachine {
+    fn rng(&mut self) -> &mut SmallRng {
+        &mut self.rng
+    }
+
     fn on_event(&mut self, net: &mut Network, _fired: Fired) {
         if matches!(self.phase, PerfPhase::Done) {
             return;
         }
-        // The machine's own stream stands in for the shard RNG for the
-        // whole step, so the client's draw sequence is continuous across
-        // steps — identical to the reseed-once sequential loop.
-        net.swap_rng(&mut self.rng);
         let before = net.charged();
         let live = self.step(net);
         let consumed = net.charged() - before;
-        net.swap_rng(&mut self.rng);
         if live {
             // Query steps model response deliveries; connects are timers.
             let event = match self.phase {

@@ -502,18 +502,20 @@ impl ReachMachine {
 }
 
 impl EventMachine for ReachMachine {
+    fn rng(&mut self) -> &mut SmallRng {
+        &mut self.rng
+    }
+
     fn on_event(&mut self, net: &mut Network, _fired: Fired) {
         if self.done {
             return;
         }
-        net.swap_rng(&mut self.rng);
         let before = net.charged();
-        if let Some(&(ti, slot)) = self.steps.clone().get(self.pos) {
+        if let Some((ti, slot)) = self.steps.get(self.pos).copied() {
             self.pos += 1;
             self.probe_step(net, ti, slot);
             let consumed = net.charged() - before;
             self.spent_us += consumed.as_micros();
-            net.swap_rng(&mut self.rng);
             let more_probes = self.pos < self.steps.len();
             if more_probes || self.forensics_due {
                 let event = if more_probes {
@@ -530,7 +532,6 @@ impl EventMachine for ReachMachine {
             self.forensic_step(net);
             let consumed = net.charged() - before;
             self.spent_us += consumed.as_micros();
-            net.swap_rng(&mut self.rng);
         }
         self.done = true;
         net.metrics_mut().observe(self.client_us, self.spent_us);

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repository verification gate: tier-1 build+tests, formatting, lints.
+# Repository verification gate: tier-1 build+tests, benchmark harness
+# smoke tests, formatting, lints.
 #
 # Everything runs --offline against the vendored dependency stubs
 # (see DESIGN.md §2 "Dependency policy") — no network is required.
@@ -14,6 +15,13 @@ cargo build --release --offline
 
 echo "==> tier-1: cargo test -q"
 cargo test -q --offline --workspace
+
+echo "==> perfbench: build + smoke tests of the benchmark harness"
+# The benchmark (BENCHMARK.json) is a package of its own with its own
+# [workspace], so the workspace test run above never builds it. Building
+# and smoke-testing it here catches a workspace API change that breaks
+# the harness before the benchmark itself is next run.
+cargo test -q --offline --release --manifest-path perfbench/Cargo.toml
 
 echo "==> dnswire: round-trip suite + adversarial corpus"
 # One validation walk (MessageView::parse) serves both the zero-copy view
