@@ -71,15 +71,6 @@ impl HostMeta {
         self.rdns = Some(name.to_string());
         self
     }
-
-    /// Endpoint view for the latency model.
-    pub(crate) fn endpoint(&self) -> crate::latency::Endpoint {
-        crate::latency::Endpoint {
-            region: self.region,
-            country: self.country,
-            anycast: self.anycast,
-        }
-    }
 }
 
 /// What a service learns about an incoming connection.

@@ -11,7 +11,6 @@ use crate::geo::{CountryCode, Region};
 use crate::time::SimDuration;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Base one-way-pair RTTs between regions, in milliseconds.
 ///
@@ -62,21 +61,108 @@ pub struct Endpoint {
     pub anycast: bool,
 }
 
+/// A flow's latency parameters, resolved once from its two endpoints and
+/// destination port. Every round trip on the flow samples from it, so an
+/// open connection never re-resolves its endpoints.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Path {
+    /// Median round trip before jitter, ms: transit, both endpoints'
+    /// access delays and the source country's penalty for the port.
+    pub(crate) base_ms: f64,
+    /// Lognormal jitter scale (the bottleneck endpoint's).
+    pub(crate) sigma: f64,
+    /// Per-exchange loss probability (the bottleneck endpoint's).
+    pub(crate) loss: f64,
+}
+
+impl Path {
+    /// Sample one round-trip time.
+    ///
+    /// Jitter is multiplicative lognormal so tails are one-sided (paths get
+    /// slower, not faster-than-light).
+    pub(crate) fn sample_rtt<R: Rng + ?Sized>(&self, rng: &mut R) -> SimDuration {
+        SimDuration::from_millis_f64(self.base_ms * lognormal_factor(self.sigma, rng))
+    }
+
+    /// Roll whether one exchange is lost and retransmitted.
+    pub(crate) fn lost<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
+        rng.gen_bool(self.loss.clamp(0.0, 1.0))
+    }
+}
+
+/// Dense slot of a two-letter country code in [`CountryTable`].
+fn letter_index(country: CountryCode) -> Option<usize> {
+    match *country.as_str().as_bytes() {
+        [a @ b'A'..=b'Z', b @ b'A'..=b'Z'] => {
+            Some(usize::from(a - b'A') * 26 + usize::from(b - b'A'))
+        }
+        _ => None,
+    }
+}
+
+/// One country's overrides.
+#[derive(Debug, Clone, Default)]
+struct CountryLatency {
+    /// Access profile; `None` falls back to the model's default.
+    profile: Option<LatencyProfile>,
+    /// Extra ms per round trip for clients in the country, by port.
+    port_penalty_ms: Vec<(u16, f64)>,
+}
+
+/// Per-country overrides, indexed densely by two-letter code: a lookup is
+/// one array read, no hashing.
+#[derive(Debug, Clone)]
+struct CountryTable {
+    /// `entries` index plus one for each of the 26×26 codes; 0 = none.
+    slots: Vec<u16>,
+    entries: Vec<CountryLatency>,
+}
+
+impl Default for CountryTable {
+    fn default() -> Self {
+        CountryTable {
+            slots: vec![0; 26 * 26],
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl CountryTable {
+    fn overrides(&self, country: CountryCode) -> Option<&CountryLatency> {
+        let slot = self.slots[letter_index(country)?].checked_sub(1)?;
+        self.entries.get(usize::from(slot))
+    }
+
+    /// # Panics
+    /// Panics unless `country` is two ASCII letters — overrides are keyed
+    /// by ISO-3166 codes, which worldgen spells as constants.
+    fn overrides_mut(&mut self, country: CountryCode) -> &mut CountryLatency {
+        let i = letter_index(country)
+            .unwrap_or_else(|| panic!("latency override for non-ISO code {country}"));
+        if self.slots[i] == 0 {
+            self.entries.push(CountryLatency::default());
+            self.slots[i] = u16::try_from(self.entries.len()).expect("at most 26×26 countries");
+        }
+        let slot = usize::from(self.slots[i] - 1);
+        &mut self.entries[slot]
+    }
+}
+
 /// The deterministic-given-seed latency model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyModel {
     /// Default per-path profile.
     pub default_profile: LatencyProfile,
-    /// Country-specific overrides (looked up for *both* endpoints; the
-    /// worse access/jitter wins, modelling the bottleneck last mile).
-    pub country_profiles: HashMap<CountryCode, LatencyProfile>,
+    /// Country-specific profile overrides (looked up for *both* endpoints;
+    /// the worse access/jitter wins, modelling the bottleneck last mile)
+    /// and per-port penalties: extra per-round-trip delay applied when the
+    /// *client's* country slow-paths a destination port (DPI queueing /
+    /// traffic engineering of DNS ports — what makes some countries'
+    /// port-53 or port-853 paths slower than their port-443 paths,
+    /// Figure 9 of the paper).
+    countries: CountryTable,
     /// RTT to the nearest anycast PoP, per region, ms.
     pub anycast_pop_ms: [f64; 6],
-    /// Extra per-round-trip delay applied when the *client's* country
-    /// slow-paths a destination port (DPI queueing / traffic engineering
-    /// of DNS ports — what makes some countries' port-53 or port-853
-    /// paths slower than their port-443 paths, Figure 9 of the paper).
-    pub port_penalty_ms: HashMap<(CountryCode, u16), f64>,
     /// Bandwidth used to charge transmission time, bytes per millisecond.
     pub bytes_per_ms: f64,
 }
@@ -85,10 +171,9 @@ impl Default for LatencyModel {
     fn default() -> Self {
         LatencyModel {
             default_profile: LatencyProfile::default(),
-            country_profiles: HashMap::new(),
+            countries: CountryTable::default(),
             // Anycast PoPs are dense in NA/EU, sparser elsewhere.
             anycast_pop_ms: [8.0, 35.0, 8.0, 45.0, 30.0, 25.0],
-            port_penalty_ms: HashMap::new(),
             // ~10 Mbit/s residential downlink.
             bytes_per_ms: 1250.0,
         }
@@ -97,33 +182,35 @@ impl Default for LatencyModel {
 
 impl LatencyModel {
     /// Register a country override.
+    ///
+    /// # Panics
+    /// Panics unless `country` is two ASCII letters.
     pub fn set_country_profile(&mut self, country: CountryCode, profile: LatencyProfile) {
-        self.country_profiles.insert(country, profile);
+        self.countries.overrides_mut(country).profile = Some(profile);
     }
 
     /// Register a per-port penalty for clients in `country`.
+    ///
+    /// # Panics
+    /// Panics unless `country` is two ASCII letters.
     pub fn set_port_penalty(&mut self, country: CountryCode, port: u16, extra_ms: f64) {
-        self.port_penalty_ms.insert((country, port), extra_ms);
+        let penalties = &mut self.countries.overrides_mut(country).port_penalty_ms;
+        match penalties.iter_mut().find(|(p, _)| *p == port) {
+            Some(entry) => entry.1 = extra_ms,
+            None => penalties.push((port, extra_ms)),
+        }
     }
 
-    /// The penalty (ms) a client in `country` pays per round trip to
-    /// `port`, if any.
-    pub fn port_penalty(&self, country: CountryCode, port: u16) -> f64 {
-        self.port_penalty_ms
-            .get(&(country, port))
-            .copied()
-            .unwrap_or(0.0)
-    }
-
-    fn profile_for(&self, country: CountryCode) -> LatencyProfile {
-        self.country_profiles
-            .get(&country)
-            .copied()
+    fn profile_in(&self, entry: Option<&CountryLatency>) -> LatencyProfile {
+        entry
+            .and_then(|e| e.profile)
             .unwrap_or(self.default_profile)
     }
 
-    /// The deterministic base RTT between two endpoints, ms, before jitter.
-    pub fn base_rtt_ms(&self, src: Endpoint, dst: Endpoint) -> f64 {
+    /// Resolve a flow's [`Path`]: the base RTT between two endpoints plus,
+    /// with a `port`, the source country's penalty for it; the bottleneck
+    /// endpoint's jitter and loss.
+    pub(crate) fn path(&self, src: Endpoint, dst: Endpoint, port: Option<u16>) -> Path {
         let transit = if dst.anycast {
             self.anycast_pop_ms[src.region.index()]
         } else if src.anycast {
@@ -131,49 +218,32 @@ impl LatencyModel {
         } else {
             REGION_RTT_MS[src.region.index()][dst.region.index()]
         };
-        let ps = self.profile_for(src.country);
-        let pd = self.profile_for(dst.country);
-        transit + ps.access_ms + pd.access_ms
+        let src_entry = self.countries.overrides(src.country);
+        let ps = self.profile_in(src_entry);
+        let pd = self.profile_in(self.countries.overrides(dst.country));
+        let mut base_ms = transit + ps.access_ms + pd.access_ms;
+        let penalty = src_entry
+            .zip(port)
+            .and_then(|(e, port)| e.port_penalty_ms.iter().find(|(p, _)| *p == port));
+        if let Some(&(_, extra_ms)) = penalty {
+            base_ms += extra_ms;
+        }
+        Path {
+            base_ms,
+            sigma: ps.jitter_sigma.max(pd.jitter_sigma),
+            loss: ps.loss.max(pd.loss),
+        }
     }
 
-    /// Sample one round-trip time for a path.
-    ///
-    /// Jitter is multiplicative lognormal so tails are one-sided (paths get
-    /// slower, not faster-than-light); the bottleneck endpoint's sigma
-    /// applies.
+    /// Sample one round-trip time between two endpoints (no port
+    /// penalty); see [`Path::sample_rtt`].
     pub fn sample_rtt<R: Rng + ?Sized>(
         &self,
         src: Endpoint,
         dst: Endpoint,
         rng: &mut R,
     ) -> SimDuration {
-        self.sample_rtt_port(src, dst, None, rng)
-    }
-
-    /// Like [`LatencyModel::sample_rtt`], adding the source country's
-    /// penalty for the destination port.
-    pub fn sample_rtt_port<R: Rng + ?Sized>(
-        &self,
-        src: Endpoint,
-        dst: Endpoint,
-        port: Option<u16>,
-        rng: &mut R,
-    ) -> SimDuration {
-        let base =
-            self.base_rtt_ms(src, dst) + port.map_or(0.0, |p| self.port_penalty(src.country, p));
-        let sigma = self
-            .profile_for(src.country)
-            .jitter_sigma
-            .max(self.profile_for(dst.country).jitter_sigma);
-        let rtt = base * lognormal_factor(sigma, rng);
-        SimDuration::from_millis_f64(rtt)
-    }
-
-    /// Per-path loss probability (bottleneck endpoint's figure).
-    pub fn loss_probability(&self, src: Endpoint, dst: Endpoint) -> f64 {
-        self.profile_for(src.country)
-            .loss
-            .max(self.profile_for(dst.country).loss)
+        self.path(src, dst, None).sample_rtt(rng)
     }
 
     /// Time to push `bytes` through the path, excluding propagation.
@@ -209,6 +279,10 @@ mod tests {
         }
     }
 
+    fn base_ms(m: &LatencyModel, src: Endpoint, dst: Endpoint) -> f64 {
+        m.path(src, dst, None).base_ms
+    }
+
     #[test]
     fn matrix_is_symmetric() {
         for (i, row) in REGION_RTT_MS.iter().enumerate() {
@@ -221,23 +295,23 @@ mod tests {
     #[test]
     fn intercontinental_slower_than_local() {
         let m = LatencyModel::default();
-        let local = m.base_rtt_ms(ep("DE", false), ep("FR", false));
-        let far = m.base_rtt_ms(ep("DE", false), ep("AU", false));
+        let local = base_ms(&m, ep("DE", false), ep("FR", false));
+        let far = base_ms(&m, ep("DE", false), ep("AU", false));
         assert!(far > 2.0 * local, "far {far} vs local {local}");
     }
 
     #[test]
     fn anycast_short_circuits_distance() {
         let m = LatencyModel::default();
-        let au_to_us_unicast = m.base_rtt_ms(ep("AU", false), ep("US", false));
-        let au_to_anycast = m.base_rtt_ms(ep("AU", false), ep("US", true));
+        let au_to_us_unicast = base_ms(&m, ep("AU", false), ep("US", false));
+        let au_to_anycast = base_ms(&m, ep("AU", false), ep("US", true));
         assert!(au_to_anycast < au_to_us_unicast / 3.0);
     }
 
     #[test]
     fn country_profile_raises_access_delay() {
         let mut m = LatencyModel::default();
-        let before = m.base_rtt_ms(ep("ID", false), ep("US", true));
+        let before = base_ms(&m, ep("ID", false), ep("US", true));
         m.set_country_profile(
             CountryCode::new("ID"),
             LatencyProfile {
@@ -246,9 +320,28 @@ mod tests {
                 loss: 0.02,
             },
         );
-        let after = m.base_rtt_ms(ep("ID", false), ep("US", true));
+        let after = base_ms(&m, ep("ID", false), ep("US", true));
         assert!(after > before + 20.0);
-        assert!(m.loss_probability(ep("ID", false), ep("US", true)) >= 0.02);
+        assert!(m.path(ep("ID", false), ep("US", true), None).loss >= 0.02);
+    }
+
+    #[test]
+    fn port_penalty_follows_the_source_country() {
+        let mut m = LatencyModel::default();
+        m.set_port_penalty(CountryCode::new("ID"), 853, 40.0);
+        m.set_port_penalty(CountryCode::new("ID"), 853, 25.0);
+        let (id, us) = (ep("ID", false), ep("US", true));
+        let base = base_ms(&m, id, us);
+        assert_eq!(m.path(id, us, Some(853)).base_ms, base + 25.0);
+        assert_eq!(m.path(id, us, Some(443)).base_ms, base);
+        assert_eq!(m.path(us, id, Some(853)).base_ms, base_ms(&m, us, id));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-ISO")]
+    fn overrides_need_two_letter_codes() {
+        LatencyModel::default()
+            .set_country_profile(CountryCode::new("4X"), LatencyProfile::default());
     }
 
     #[test]
@@ -257,7 +350,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         let src = ep("US", false);
         let dst = ep("US", true);
-        let base = m.base_rtt_ms(src, dst);
+        let base = base_ms(&m, src, dst);
         let mut samples: Vec<f64> = (0..2001)
             .map(|_| m.sample_rtt(src, dst, &mut rng).as_millis_f64())
             .collect();

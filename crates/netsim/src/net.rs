@@ -19,7 +19,7 @@
 
 use crate::geo::{Asn, CountryCode, GeoDb, Region};
 use crate::host::{HostMeta, PeerInfo};
-use crate::latency::{Endpoint, LatencyModel};
+use crate::latency::{Endpoint, LatencyModel, Path};
 use crate::policy::{PathDecision, PolicySet};
 use crate::sched::{Fired, SchedEvent, SchedStats, Scheduler};
 use crate::service::{DatagramService, Service, ServiceCtx, StreamHandler, MAX_HANDLER_DEPTH};
@@ -27,10 +27,11 @@ use crate::time::{SimDuration, SimInstant, SimTime};
 use crate::trace::{EventKind, EventLog, NetEvent};
 use doe_telemetry::{CounterId, HistogramId, Labels, Registry};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -202,11 +203,45 @@ impl ShardStats {
     }
 }
 
+/// Multiply-fold hasher for the host and port tables' integer keys, in
+/// place of SipHash on every flow. Keys are addresses and ports the
+/// simulator assigns, not adversarial input, and no table's iteration
+/// order reaches an output (callers of [`Network::host_ips`] sort or
+/// collect into sets; [`Network::open_tcp_ports`] sorts).
+#[derive(Default)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.write_u32(u32::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        let h = (self.0 ^ u64::from(n)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        // The multiply mixes upward; fold the high half back so the low
+        // bits the table indexes by depend on every key bit.
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by simulator-assigned integers.
+type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
 #[derive(Clone)]
 struct HostEntry {
     meta: HostMeta,
-    tcp: HashMap<u16, Arc<dyn Service>>,
-    udp: HashMap<u16, Arc<dyn DatagramService>>,
+    tcp: IntMap<u16, Arc<dyn Service>>,
+    udp: IntMap<u16, Arc<dyn DatagramService>>,
 }
 
 /// A contiguous band of synthetic hosts sharing one TCP service binding
@@ -243,76 +278,120 @@ impl HostBand {
     }
 }
 
+/// Where an address lives — the one lookup a flow makes per endpoint.
+#[derive(Clone, Copy)]
+enum Site<'a> {
+    /// A registered host.
+    Host(&'a HostEntry),
+    /// A host-band member, with the band's precomputed region.
+    Band(&'a HostBand, Region),
+    /// Nothing answers here; attribution comes from the geo database.
+    Unrouted,
+}
+
+/// A flow's source, resolved once: the attribution policy rules match on
+/// and the endpoint the latency model needs.
+struct Source {
+    ip: Ipv4Addr,
+    asn: Asn,
+    endpoint: Endpoint,
+}
+
 /// The read-mostly half of the simulator: hosts, service bindings, geo/AS
 /// attribution and path policies. `Send + Sync`; shard workers share one
 /// instance behind an `Arc`.
 #[derive(Clone)]
 pub struct DataPlane {
     cfg: NetworkConfig,
-    hosts: HashMap<Ipv4Addr, HostEntry>,
+    /// Registered hosts by address.
+    hosts: IntMap<u32, HostEntry>,
     /// Host bands sorted by start address; disjoint by construction.
     bands: Vec<HostBand>,
+    /// `region_of` each band's country, parallel to `bands`.
+    band_regions: Vec<Region>,
     geodb: GeoDb,
     policies: PolicySet,
 }
 
 impl DataPlane {
-    /// The band covering `ip`, if any (hosts shadow bands — callers check
-    /// `hosts` first).
-    fn band_of(&self, ip: Ipv4Addr) -> Option<&HostBand> {
-        if self.bands.is_empty() {
-            return None;
-        }
+    /// Find `ip`: a registered host, else a covering host band (hosts
+    /// shadow bands), else nothing.
+    fn site(&self, ip: Ipv4Addr) -> Site<'_> {
         let v = u32::from(ip);
+        if let Some(h) = self.hosts.get(&v) {
+            return Site::Host(h);
+        }
         let k = self.bands.partition_point(|b| u32::from(b.start) <= v);
-        let band = &self.bands[k.checked_sub(1)?];
-        (v - u32::from(band.start) < band.count).then_some(band)
+        match k.checked_sub(1) {
+            Some(i) if v - u32::from(self.bands[i].start) < self.bands[i].count => {
+                Site::Band(&self.bands[i], self.band_regions[i])
+            }
+            _ => Site::Unrouted,
+        }
+    }
+
+    /// Attribution and latency endpoint of `ip`, found at `site`: a
+    /// registered host's metadata wins, then a covering host band, then
+    /// the geo database, then a neutral default. Only registered hosts
+    /// can be anycast.
+    fn locate(&self, ip: Ipv4Addr, site: Site<'_>) -> (Asn, Endpoint) {
+        let (country, asn, region, anycast) = match site {
+            Site::Host(h) => (h.meta.country, h.meta.asn, h.meta.region, h.meta.anycast),
+            Site::Band(b, region) => (b.country, b.asn, region, false),
+            Site::Unrouted => match self.geodb.lookup(ip) {
+                Some(info) => (info.country, info.asn, info.region, false),
+                None => {
+                    let cc = CountryCode::new("US");
+                    (cc, Asn(0), crate::geo::region_of(cc), false)
+                }
+            },
+        };
+        let endpoint = Endpoint {
+            region,
+            country,
+            anycast,
+        };
+        (asn, endpoint)
     }
 
     /// Country/AS/region attribution for any address: a registered host's
     /// metadata wins, then a covering host band, then the geo database,
     /// then a neutral default.
     pub fn attribution(&self, ip: Ipv4Addr) -> (CountryCode, Asn, Region) {
-        if let Some(h) = self.hosts.get(&ip) {
-            return (h.meta.country, h.meta.asn, h.meta.region);
-        }
-        if let Some(b) = self.band_of(ip) {
-            return (b.country, b.asn, crate::geo::region_of(b.country));
-        }
-        if let Some(info) = self.geodb.lookup(ip) {
-            return (info.country, info.asn, info.region);
-        }
-        let cc = CountryCode::new("US");
-        (cc, Asn(0), crate::geo::region_of(cc))
+        let (asn, endpoint) = self.locate(ip, self.site(ip));
+        (endpoint.country, asn, endpoint.region)
     }
 
-    fn endpoint_of(&self, ip: Ipv4Addr) -> Endpoint {
-        if let Some(h) = self.hosts.get(&ip) {
-            return h.meta.endpoint();
-        }
-        let (country, _asn, region) = self.attribution(ip);
-        Endpoint {
-            region,
-            country,
-            anycast: false,
-        }
+    fn source(&self, ip: Ipv4Addr) -> Source {
+        let (asn, endpoint) = self.locate(ip, self.site(ip));
+        Source { ip, asn, endpoint }
+    }
+
+    /// The latency [`Path`] from `src` to `dst` (found at `site`) on
+    /// `port` — resolved once per flow.
+    fn path(&self, src: &Source, dst: Ipv4Addr, site: Site<'_>, port: u16) -> Path {
+        self.cfg
+            .latency
+            .path(src.endpoint, self.locate(dst, site).1, Some(port))
     }
 
     /// Evaluate path policies for a flow, with the simulator invariant that
     /// a diversion device's own traffic is never diverted back to itself
     /// (the device *is* the middlebox; it sits behind the diversion point).
+    /// The rule name is borrowed from the policy set.
     fn decide_path(
         &self,
-        src: Ipv4Addr,
+        src: &Source,
         dst: Ipv4Addr,
         port: u16,
         is_tcp: bool,
-    ) -> (PathDecision, Option<String>) {
-        let (country, asn, _region) = self.attribution(src);
-        let (decision, rule) = self.policies.evaluate(src, country, asn, dst, port, is_tcp);
+    ) -> (PathDecision, Option<&str>) {
+        let (decision, rule) =
+            self.policies
+                .evaluate(src.ip, src.endpoint.country, src.asn, dst, port, is_tcp);
         match decision {
-            PathDecision::DivertTo(actual) if actual == src => (PathDecision::Allow, None),
-            other => (other, rule.map(str::to_string)),
+            PathDecision::DivertTo(actual) if actual == src.ip => (PathDecision::Allow, None),
+            other => (other, rule),
         }
     }
 }
@@ -429,6 +508,89 @@ impl ShardCtx {
             &mut self.void
         }
     }
+
+    /// Accumulate virtual time into the charged-time counter, but only
+    /// for top-level operations: time spent inside a service handler
+    /// already flows into the outer exchange via `ServiceCtx::extra`, so
+    /// charging nested calls would double-count it.
+    fn charge(&mut self, d: SimDuration) {
+        if self.handler_depth == 0 {
+            self.charged += d;
+        }
+    }
+
+    /// Record a trace event. The event, and any rule name it owns, is
+    /// built only when tracing is on.
+    fn trace(&mut self, event: impl FnOnce() -> NetEvent) {
+        if self.log.is_enabled() {
+            self.log.record(event());
+        }
+    }
+
+    /// One flight on `path`: a jittered RTT, plus a second one when the
+    /// flight is lost and retransmitted.
+    fn round_trip(&mut self, path: Path) -> SimDuration {
+        let mut rtt = path.sample_rtt(&mut self.rng);
+        if path.lost(&mut self.rng) {
+            rtt += path.sample_rtt(&mut self.rng);
+            let id = self.ids.path_retransmit;
+            self.meter().inc(id);
+        }
+        rtt
+    }
+
+    /// A UDP exchange that got no answer: counted and traced under
+    /// `label`, charged the full timeout, attributed to `rule`.
+    fn udp_drop(
+        &mut self,
+        (src, dst, port): (Ipv4Addr, Ipv4Addr, u16),
+        timeout: SimDuration,
+        label: Option<&str>,
+        rule: Option<&str>,
+    ) -> UdpError {
+        self.meter()
+            .count("net.path.udp_drop", rule_labels(label), 1);
+        self.charge(timeout);
+        self.trace(|| NetEvent {
+            src,
+            dst,
+            port,
+            elapsed: timeout,
+            kind: EventKind::UdpDrop {
+                rule: label.map(str::to_string),
+            },
+        });
+        UdpError::Timeout {
+            elapsed: timeout,
+            rule: rule.map(str::to_string),
+        }
+    }
+
+    /// Count, charge and trace a finished SYN probe.
+    fn probe_done(
+        &mut self,
+        (src, dst, port): (Ipv4Addr, Ipv4Addr, u16),
+        outcome: ProbeOutcome,
+        elapsed: SimDuration,
+    ) -> (ProbeOutcome, SimDuration) {
+        let sent_id = self.ids.probe_sent;
+        self.meter().inc(sent_id);
+        let outcome_id = match outcome {
+            ProbeOutcome::Open => self.ids.probe_open,
+            ProbeOutcome::Closed => self.ids.probe_closed,
+            ProbeOutcome::Filtered => self.ids.probe_filtered,
+        };
+        self.meter().inc(outcome_id);
+        self.charge(elapsed);
+        self.trace(|| NetEvent {
+            src,
+            dst,
+            port,
+            elapsed,
+            kind: EventKind::SynProbe { outcome },
+        });
+        (outcome, elapsed)
+    }
 }
 
 /// The simulated internet. See the crate docs for the model.
@@ -459,8 +621,9 @@ impl Network {
         Network {
             plane: Arc::new(DataPlane {
                 cfg,
-                hosts: HashMap::new(),
+                hosts: IntMap::default(),
                 bands: Vec::new(),
+                band_regions: Vec::new(),
                 geodb: GeoDb::new(),
                 policies: PolicySet::new(),
             }),
@@ -704,11 +867,11 @@ impl Network {
     /// Register a host. Replaces any prior host at the same address.
     pub fn add_host(&mut self, meta: HostMeta) {
         self.plane_mut().hosts.insert(
-            meta.ip,
+            u32::from(meta.ip),
             HostEntry {
                 meta,
-                tcp: HashMap::new(),
-                udp: HashMap::new(),
+                tcp: IntMap::default(),
+                udp: IntMap::default(),
             },
         );
     }
@@ -716,7 +879,7 @@ impl Network {
     /// Remove a host entirely (e.g. a resolver decommissioned between scan
     /// epochs). Returns true if it existed.
     pub fn remove_host(&mut self, ip: Ipv4Addr) -> bool {
-        self.plane_mut().hosts.remove(&ip).is_some()
+        self.plane_mut().hosts.remove(&u32::from(ip)).is_some()
     }
 
     /// Register a [`HostBand`]: `count` consecutive addresses from
@@ -742,8 +905,11 @@ impl Network {
                 band.count
             );
         }
-        plane.bands.push(band);
-        plane.bands.sort_by_key(|b| u32::from(b.start));
+        let at = plane.bands.partition_point(|b| u32::from(b.start) < start);
+        plane
+            .band_regions
+            .insert(at, crate::geo::region_of(band.country));
+        plane.bands.insert(at, band);
     }
 
     /// Registered host bands, sorted by start address.
@@ -758,12 +924,12 @@ impl Network {
 
     /// Whether a host is registered at `ip`.
     pub fn has_host(&self, ip: Ipv4Addr) -> bool {
-        self.plane.hosts.contains_key(&ip)
+        self.plane.hosts.contains_key(&u32::from(ip))
     }
 
     /// Metadata of a registered host.
     pub fn host_meta(&self, ip: Ipv4Addr) -> Option<&HostMeta> {
-        self.plane.hosts.get(&ip).map(|h| &h.meta)
+        self.plane.hosts.get(&u32::from(ip)).map(|h| &h.meta)
     }
 
     /// Number of registered hosts.
@@ -773,7 +939,7 @@ impl Network {
 
     /// All registered host addresses (unordered).
     pub fn host_ips(&self) -> impl Iterator<Item = Ipv4Addr> + '_ {
-        self.plane.hosts.keys().copied()
+        self.plane.hosts.keys().map(|&ip| Ipv4Addr::from(ip))
     }
 
     /// TCP ports a host listens on (empty if unknown host).
@@ -781,7 +947,7 @@ impl Network {
         let mut ports: Vec<u16> = self
             .plane
             .hosts
-            .get(&ip)
+            .get(&u32::from(ip))
             .map(|h| h.tcp.keys().copied().collect())
             .unwrap_or_default();
         ports.sort_unstable();
@@ -796,7 +962,7 @@ impl Network {
     pub fn bind_tcp(&mut self, ip: Ipv4Addr, port: u16, svc: Arc<dyn Service>) {
         self.plane_mut()
             .hosts
-            .get_mut(&ip)
+            .get_mut(&u32::from(ip))
             .unwrap_or_else(|| panic!("bind_tcp: no host {ip}"))
             .tcp
             .insert(port, svc);
@@ -806,9 +972,8 @@ impl Network {
     pub fn unbind_tcp(&mut self, ip: Ipv4Addr, port: u16) -> bool {
         self.plane_mut()
             .hosts
-            .get_mut(&ip)
-            .map(|h| h.tcp.remove(&port).is_some())
-            .unwrap_or(false)
+            .get_mut(&u32::from(ip))
+            .is_some_and(|h| h.tcp.remove(&port).is_some())
     }
 
     /// Bind a UDP service to `(ip, port)`. The host must exist.
@@ -818,7 +983,7 @@ impl Network {
     pub fn bind_udp(&mut self, ip: Ipv4Addr, port: u16, svc: Arc<dyn DatagramService>) {
         self.plane_mut()
             .hosts
-            .get_mut(&ip)
+            .get_mut(&u32::from(ip))
             .unwrap_or_else(|| panic!("bind_udp: no host {ip}"))
             .udp
             .insert(port, svc);
@@ -828,32 +993,6 @@ impl Network {
     /// metadata wins, then the geo database, then a neutral default.
     pub fn attribution(&self, ip: Ipv4Addr) -> (CountryCode, Asn, Region) {
         self.plane.attribution(ip)
-    }
-
-    fn sample_rtt(&mut self, src: Ipv4Addr, dst: Ipv4Addr, port: u16) -> SimDuration {
-        let s = self.plane.endpoint_of(src);
-        let d = self.plane.endpoint_of(dst);
-        self.plane
-            .cfg
-            .latency
-            .sample_rtt_port(s, d, Some(port), &mut self.shard.rng)
-    }
-
-    fn loss_roll(&mut self, src: Ipv4Addr, dst: Ipv4Addr) -> bool {
-        let s = self.plane.endpoint_of(src);
-        let d = self.plane.endpoint_of(dst);
-        let p = self.plane.cfg.latency.loss_probability(s, d);
-        self.shard.rng.gen_bool(p.clamp(0.0, 1.0))
-    }
-
-    /// Accumulate virtual time into the charged-time counter, but only
-    /// for top-level operations: time spent inside a service handler
-    /// already flows into the outer exchange via `ServiceCtx::extra`, so
-    /// charging nested calls would double-count it.
-    fn charge(&mut self, d: SimDuration) {
-        if self.shard.handler_depth == 0 {
-            self.shard.charged += d;
-        }
     }
 
     /// Open a TCP connection with the default timeout.
@@ -888,129 +1027,111 @@ impl Network {
                 rule: None,
             });
         }
-        let (decision, rule) = self.plane.decide_path(src, dst, port, true);
+        let (plane, shard) = (&*self.plane, &mut self.shard);
+        let source = plane.source(src);
+        let (decision, rule) = plane.decide_path(&source, dst, port, true);
         let (effective, diverted_rule) = match decision {
             PathDecision::Allow => (dst, None),
             PathDecision::Blackhole => {
-                self.shard
+                shard
                     .meter()
-                    .count("net.path.timeout", rule_labels(rule.as_deref()), 1);
-                self.charge(timeout);
-                self.shard.log.record(NetEvent {
+                    .count("net.path.timeout", rule_labels(rule), 1);
+                shard.charge(timeout);
+                shard.trace(|| NetEvent {
                     src,
                     dst,
                     port,
                     elapsed: timeout,
-                    kind: EventKind::Timeout { rule: rule.clone() },
+                    kind: EventKind::Timeout {
+                        rule: rule.map(str::to_string),
+                    },
                 });
                 return Err(ConnectError {
                     kind: ConnectErrorKind::Timeout,
                     elapsed: timeout,
-                    rule,
+                    rule: rule.map(str::to_string),
                 });
             }
             PathDecision::Reset => {
-                let rtt = self.sample_rtt(src, dst, port);
-                self.shard
-                    .meter()
-                    .count("net.path.reset", rule_labels(rule.as_deref()), 1);
-                self.charge(rtt);
-                self.shard.log.record(NetEvent {
+                let rtt = plane
+                    .path(&source, dst, plane.site(dst), port)
+                    .sample_rtt(&mut shard.rng);
+                shard.meter().count("net.path.reset", rule_labels(rule), 1);
+                shard.charge(rtt);
+                shard.trace(|| NetEvent {
                     src,
                     dst,
                     port,
                     elapsed: rtt,
-                    kind: EventKind::TcpReset { rule: rule.clone() },
+                    kind: EventKind::TcpReset {
+                        rule: rule.map(str::to_string),
+                    },
                 });
                 return Err(ConnectError {
                     kind: ConnectErrorKind::Reset,
                     elapsed: rtt,
-                    rule,
+                    rule: rule.map(str::to_string),
                 });
             }
             PathDecision::DivertTo(actual) => {
-                self.shard.log.record(NetEvent {
+                shard.trace(|| NetEvent {
                     src,
                     dst,
                     port,
                     elapsed: SimDuration::ZERO,
                     kind: EventKind::Diverted {
                         actual,
-                        rule: rule.clone().unwrap_or_default(),
+                        rule: rule.unwrap_or_default().to_string(),
                     },
                 });
                 (actual, rule)
             }
         };
 
-        let svc = match self.plane.hosts.get(&effective) {
-            None => match self
-                .plane
-                .band_of(effective)
-                .map(|b| (b.port, Arc::clone(&b.service)))
-            {
-                // A band member accepts on its one bound port…
-                Some((band_port, svc)) if band_port == port => svc,
-                // …answers any other port with RST…
-                Some(_) => {
-                    let rtt = self.sample_rtt(src, effective, port);
-                    let id = self.shard.ids.path_refused;
-                    self.shard.meter().inc(id);
-                    self.charge(rtt);
-                    self.shard.log.record(NetEvent {
-                        src,
-                        dst,
-                        port,
-                        elapsed: rtt,
-                        kind: EventKind::TcpReset { rule: None },
-                    });
-                    return Err(ConnectError {
-                        kind: ConnectErrorKind::Refused,
-                        elapsed: rtt,
-                        rule: diverted_rule,
-                    });
-                }
-                // …and a genuinely unrouted address swallows the SYNs.
-                None => {
-                    self.shard
-                        .meter()
-                        .count("net.path.timeout", rule_labels(None), 1);
-                    self.charge(timeout);
-                    self.shard.log.record(NetEvent {
-                        src,
-                        dst,
-                        port,
-                        elapsed: timeout,
-                        kind: EventKind::Timeout { rule: None },
-                    });
-                    return Err(ConnectError {
-                        kind: ConnectErrorKind::Timeout,
-                        elapsed: timeout,
-                        rule: diverted_rule,
-                    });
-                }
-            },
-            Some(entry) => match entry.tcp.get(&port) {
-                None => {
-                    let rtt = self.sample_rtt(src, effective, port);
-                    let id = self.shard.ids.path_refused;
-                    self.shard.meter().inc(id);
-                    self.charge(rtt);
-                    self.shard.log.record(NetEvent {
-                        src,
-                        dst,
-                        port,
-                        elapsed: rtt,
-                        kind: EventKind::TcpReset { rule: None },
-                    });
-                    return Err(ConnectError {
-                        kind: ConnectErrorKind::Refused,
-                        elapsed: rtt,
-                        rule: diverted_rule,
-                    });
-                }
-                Some(svc) => Arc::clone(svc),
-            },
+        let site = plane.site(effective);
+        let svc = match site {
+            Site::Host(entry) => entry.tcp.get(&port).map(Arc::clone),
+            // A band member accepts on its one bound port and answers any
+            // other port with RST…
+            Site::Band(band, _) => (band.port == port).then(|| Arc::clone(&band.service)),
+            // …and a genuinely unrouted address swallows the SYNs.
+            Site::Unrouted => {
+                shard
+                    .meter()
+                    .count("net.path.timeout", rule_labels(None), 1);
+                shard.charge(timeout);
+                shard.trace(|| NetEvent {
+                    src,
+                    dst,
+                    port,
+                    elapsed: timeout,
+                    kind: EventKind::Timeout { rule: None },
+                });
+                return Err(ConnectError {
+                    kind: ConnectErrorKind::Timeout,
+                    elapsed: timeout,
+                    rule: diverted_rule.map(str::to_string),
+                });
+            }
+        };
+        let path = plane.path(&source, effective, site, port);
+        let Some(svc) = svc else {
+            let rtt = path.sample_rtt(&mut shard.rng);
+            let id = shard.ids.path_refused;
+            shard.meter().inc(id);
+            shard.charge(rtt);
+            shard.trace(|| NetEvent {
+                src,
+                dst,
+                port,
+                elapsed: rtt,
+                kind: EventKind::TcpReset { rule: None },
+            });
+            return Err(ConnectError {
+                kind: ConnectErrorKind::Refused,
+                elapsed: rtt,
+                rule: diverted_rule.map(str::to_string),
+            });
         };
 
         let peer = PeerInfo {
@@ -1020,17 +1141,11 @@ impl Network {
             diverted: effective != dst,
         };
         let handler = svc.open_stream(peer);
-        let mut rtt = self.sample_rtt(src, effective, port);
-        if self.loss_roll(src, effective) {
-            // Lost SYN: one retransmission.
-            rtt += self.sample_rtt(src, effective, port);
-            let id = self.shard.ids.path_retransmit;
-            self.shard.meter().inc(id);
-        }
-        let id = self.shard.ids.tcp_connect_us;
-        self.shard.meter().observe(id, rtt.as_micros());
-        self.charge(rtt);
-        self.shard.log.record(NetEvent {
+        let rtt = shard.round_trip(path);
+        let id = shard.ids.tcp_connect_us;
+        shard.meter().observe(id, rtt.as_micros());
+        shard.charge(rtt);
+        shard.trace(|| NetEvent {
             src,
             dst,
             port,
@@ -1042,11 +1157,10 @@ impl Network {
             effective_dst: effective,
             original_dst: dst,
             port,
-            diverted_rule,
+            path,
+            diverted_rule: diverted_rule.map(Box::from),
             handler,
             elapsed: rtt,
-            tx_bytes: 0,
-            rx_bytes: 0,
             round_trips: 1,
         })
     }
@@ -1065,70 +1179,45 @@ impl Network {
             self.shard.meter().inc(id);
             return Err(UdpError::DepthExceeded);
         }
-        let timeout = timeout.unwrap_or(self.plane.cfg.default_timeout);
-        let (decision, rule) = self.plane.decide_path(src, dst, port, false);
+        let (plane, shard) = (&*self.plane, &mut self.shard);
+        let flow = (src, dst, port);
+        let timeout = timeout.unwrap_or(plane.cfg.default_timeout);
+        let source = plane.source(src);
+        let (decision, rule) = plane.decide_path(&source, dst, port, false);
         let effective = match decision {
             PathDecision::Allow => dst,
+            // UDP has no RST; both read as silence.
             PathDecision::Blackhole | PathDecision::Reset => {
-                // UDP has no RST; both read as silence.
-                self.shard
-                    .meter()
-                    .count("net.path.udp_drop", rule_labels(rule.as_deref()), 1);
-                self.charge(timeout);
-                self.shard.log.record(NetEvent {
-                    src,
-                    dst,
-                    port,
-                    elapsed: timeout,
-                    kind: EventKind::UdpDrop { rule: rule.clone() },
-                });
-                return Err(UdpError::Timeout {
-                    elapsed: timeout,
-                    rule,
-                });
+                return Err(shard.udp_drop(flow, timeout, rule, rule));
             }
             PathDecision::DivertTo(actual) => actual,
         };
 
-        if self.loss_roll(src, effective) {
-            self.shard
-                .meter()
-                .count("net.path.udp_drop", rule_labels(Some("loss")), 1);
-            self.charge(timeout);
-            self.shard.log.record(NetEvent {
+        let site = plane.site(effective);
+        let path = plane.path(&source, effective, site, port);
+        if path.lost(&mut shard.rng) {
+            return Err(shard.udp_drop(flow, timeout, Some("loss"), None));
+        }
+
+        let svc = match site {
+            Site::Host(entry) => entry.udp.get(&port).map(Arc::clone),
+            Site::Band(..) | Site::Unrouted => {
+                return Err(shard.udp_drop(flow, timeout, rule, rule));
+            }
+        };
+        let Some(svc) = svc else {
+            let rtt = path.sample_rtt(&mut shard.rng);
+            let id = shard.ids.path_udp_unreachable;
+            shard.meter().inc(id);
+            shard.charge(rtt);
+            shard.trace(|| NetEvent {
                 src,
                 dst,
                 port,
-                elapsed: timeout,
-                kind: EventKind::UdpDrop { rule: None },
+                elapsed: rtt,
+                kind: EventKind::UdpUnreachable,
             });
-            return Err(UdpError::Timeout {
-                elapsed: timeout,
-                rule: None,
-            });
-        }
-
-        let svc = match self.plane.hosts.get(&effective) {
-            None => {
-                self.shard
-                    .meter()
-                    .count("net.path.udp_drop", rule_labels(rule.as_deref()), 1);
-                self.charge(timeout);
-                return Err(UdpError::Timeout {
-                    elapsed: timeout,
-                    rule,
-                });
-            }
-            Some(entry) => match entry.udp.get(&port) {
-                None => {
-                    let rtt = self.sample_rtt(src, effective, port);
-                    let id = self.shard.ids.path_udp_unreachable;
-                    self.shard.meter().inc(id);
-                    self.charge(rtt);
-                    return Err(UdpError::Unreachable { elapsed: rtt });
-                }
-                Some(svc) => Arc::clone(svc),
-            },
+            return Err(UdpError::Unreachable { elapsed: rtt });
         };
 
         let peer = PeerInfo {
@@ -1137,56 +1226,46 @@ impl Network {
             original_port: port,
             diverted: effective != dst,
         };
-        let rtt = self.sample_rtt(src, effective, port);
+        let rtt = path.sample_rtt(&mut shard.rng);
         self.shard.handler_depth += 1;
         let mut ctx = ServiceCtx::new(self, effective, 0);
         let reply = svc.on_datagram(&mut ctx, peer, data);
         let extra = ctx.extra();
         self.shard.handler_depth -= 1;
-        match reply {
-            Some(bytes) => {
-                let total = rtt
-                    + self
-                        .plane
-                        .cfg
-                        .latency
-                        .transmission(data.len() + bytes.len())
-                    + extra;
-                let ids = (
-                    self.shard.ids.udp_exchange_us,
-                    self.shard.ids.bytes_tx,
-                    self.shard.ids.bytes_rx,
-                );
-                self.shard.meter().observe(ids.0, total.as_micros());
-                self.shard.meter().add(ids.1, data.len() as u64);
-                self.shard.meter().add(ids.2, bytes.len() as u64);
-                self.charge(total);
-                self.shard.log.record(NetEvent {
-                    src,
-                    dst,
-                    port,
-                    elapsed: total,
-                    kind: EventKind::UdpExchange {
-                        tx: data.len(),
-                        rx: bytes.len(),
-                    },
-                });
-                Ok(UdpReply {
-                    bytes,
-                    elapsed: total,
-                })
-            }
-            None => {
-                self.shard
-                    .meter()
-                    .count("net.path.udp_drop", rule_labels(Some("no_answer")), 1);
-                self.charge(timeout);
-                Err(UdpError::Timeout {
-                    elapsed: timeout,
-                    rule: None,
-                })
-            }
-        }
+        let Some(bytes) = reply else {
+            return Err(self.shard.udp_drop(flow, timeout, Some("no_answer"), None));
+        };
+        let total = rtt
+            + self
+                .plane
+                .cfg
+                .latency
+                .transmission(data.len() + bytes.len())
+            + extra;
+        let shard = &mut self.shard;
+        let ids = (
+            shard.ids.udp_exchange_us,
+            shard.ids.bytes_tx,
+            shard.ids.bytes_rx,
+        );
+        shard.meter().observe(ids.0, total.as_micros());
+        shard.meter().add(ids.1, data.len() as u64);
+        shard.meter().add(ids.2, bytes.len() as u64);
+        shard.charge(total);
+        shard.trace(|| NetEvent {
+            src,
+            dst,
+            port,
+            elapsed: total,
+            kind: EventKind::UdpExchange {
+                tx: data.len(),
+                rx: bytes.len(),
+            },
+        });
+        Ok(UdpReply {
+            bytes,
+            elapsed: total,
+        })
     }
 
     /// ZMap-style SYN probe: open / closed / filtered plus time cost.
@@ -1199,79 +1278,47 @@ impl Network {
         dst: Ipv4Addr,
         port: u16,
     ) -> (ProbeOutcome, SimDuration) {
-        let (decision, _rule) = self.plane.decide_path(src, dst, port, true);
-        let (outcome, elapsed) = (|| {
-            let effective = match decision {
-                PathDecision::Allow => dst,
-                PathDecision::Blackhole => {
-                    return (ProbeOutcome::Filtered, self.plane.cfg.probe_timeout)
-                }
-                PathDecision::Reset => {
-                    let rtt = self.sample_rtt(src, dst, port);
-                    return (ProbeOutcome::Closed, rtt);
-                }
-                PathDecision::DivertTo(actual) => actual,
-            };
-            match self.plane.hosts.get(&effective) {
-                None => match self.plane.band_of(effective).map(|b| b.port) {
-                    None => (ProbeOutcome::Filtered, self.plane.cfg.probe_timeout),
-                    Some(band_port) => {
-                        let open = band_port == port;
-                        let rtt = self.sample_rtt(src, effective, port);
-                        if open {
-                            (ProbeOutcome::Open, rtt)
-                        } else {
-                            (ProbeOutcome::Closed, rtt)
-                        }
-                    }
-                },
-                Some(entry) => {
-                    let open = entry.tcp.contains_key(&port);
-                    let rtt = self.sample_rtt(src, effective, port);
-                    if open {
-                        (ProbeOutcome::Open, rtt)
-                    } else {
-                        (ProbeOutcome::Closed, rtt)
-                    }
-                }
+        let (plane, shard) = (&*self.plane, &mut self.shard);
+        let flow = (src, dst, port);
+        let filtered = plane.cfg.probe_timeout;
+        let source = plane.source(src);
+        let (decision, _rule) = plane.decide_path(&source, dst, port, true);
+        let effective = match decision {
+            PathDecision::Allow => dst,
+            PathDecision::DivertTo(actual) => actual,
+            PathDecision::Blackhole => {
+                return shard.probe_done(flow, ProbeOutcome::Filtered, filtered)
             }
-        })();
-        let sent_id = self.shard.ids.probe_sent;
-        self.shard.meter().inc(sent_id);
-        let outcome_id = match outcome {
-            ProbeOutcome::Open => self.shard.ids.probe_open,
-            ProbeOutcome::Closed => self.shard.ids.probe_closed,
-            ProbeOutcome::Filtered => self.shard.ids.probe_filtered,
+            PathDecision::Reset => {
+                let rtt = plane
+                    .path(&source, dst, plane.site(dst), port)
+                    .sample_rtt(&mut shard.rng);
+                return shard.probe_done(flow, ProbeOutcome::Closed, rtt);
+            }
         };
-        self.shard.meter().inc(outcome_id);
-        self.charge(elapsed);
-        self.shard.log.record(NetEvent {
-            src,
-            dst,
-            port,
-            elapsed,
-            kind: EventKind::SynProbe { outcome },
-        });
-        (outcome, elapsed)
+        let site = plane.site(effective);
+        let outcome = match site {
+            Site::Host(entry) if entry.tcp.contains_key(&port) => ProbeOutcome::Open,
+            Site::Band(band, _) if band.port == port => ProbeOutcome::Open,
+            Site::Host(_) | Site::Band(..) => ProbeOutcome::Closed,
+            Site::Unrouted => return shard.probe_done(flow, ProbeOutcome::Filtered, filtered),
+        };
+        let rtt = plane
+            .path(&source, effective, site, port)
+            .sample_rtt(&mut shard.rng);
+        shard.probe_done(flow, outcome, rtt)
     }
 
     /// Internal: run one request/response flight on an established
     /// connection. Used by [`Conn::request`].
     fn exchange(
         &mut self,
-        conn_src: Ipv4Addr,
+        path: Path,
         conn_dst: Ipv4Addr,
-        port: u16,
         handler: &mut Box<dyn StreamHandler>,
         data: &[u8],
     ) -> (Vec<u8>, SimDuration) {
-        let mut rtt = self.sample_rtt(conn_src, conn_dst, port);
-        if self.loss_roll(conn_src, conn_dst) {
-            // One retransmission round.
-            rtt += self.sample_rtt(conn_src, conn_dst, port);
-            let id = self.shard.ids.path_retransmit;
-            self.shard.meter().inc(id);
-        }
+        let rtt = self.shard.round_trip(path);
         self.shard.handler_depth += 1;
         let mut ctx = ServiceCtx::new(self, conn_dst, 0);
         let resp = handler.on_bytes(&mut ctx, data);
@@ -1286,7 +1333,7 @@ impl Network {
         self.shard.meter().observe(ids.0, total.as_micros());
         self.shard.meter().add(ids.1, data.len() as u64);
         self.shard.meter().add(ids.2, resp.len() as u64);
-        self.charge(total);
+        self.shard.charge(total);
         (resp, total)
     }
 
@@ -1305,11 +1352,14 @@ pub struct Conn {
     effective_dst: Ipv4Addr,
     original_dst: Ipv4Addr,
     port: u16,
-    diverted_rule: Option<String>,
+    /// Latency parameters resolved at connect time; every flight samples
+    /// from them.
+    path: Path,
+    /// Boxed, not a `String`: event-driven fleets hold one `Conn` per
+    /// client, so its size is per-client memory.
+    diverted_rule: Option<Box<str>>,
     handler: Box<dyn StreamHandler>,
     elapsed: SimDuration,
-    tx_bytes: usize,
-    rx_bytes: usize,
     round_trips: u32,
 }
 
@@ -1372,16 +1422,6 @@ impl Conn {
         self.elapsed += d;
     }
 
-    /// Bytes sent by the client.
-    pub fn tx_bytes(&self) -> usize {
-        self.tx_bytes
-    }
-
-    /// Bytes received by the client.
-    pub fn rx_bytes(&self) -> usize {
-        self.rx_bytes
-    }
-
     /// Round trips charged (including the handshake).
     pub fn round_trips(&self) -> u32 {
         self.round_trips
@@ -1399,16 +1439,8 @@ impl Conn {
                 rule: None,
             });
         }
-        let (resp, dt) = net.exchange(
-            self.src,
-            self.effective_dst,
-            self.port,
-            &mut self.handler,
-            data,
-        );
+        let (resp, dt) = net.exchange(self.path, self.effective_dst, &mut self.handler, data);
         self.elapsed += dt;
-        self.tx_bytes += data.len();
-        self.rx_bytes += resp.len();
         self.round_trips += 1;
         net.shard.log.record(NetEvent {
             src: self.src,
@@ -1481,7 +1513,10 @@ mod tests {
         assert_eq!(resp, b"hello");
         assert!(conn.elapsed() > after_handshake);
         assert_eq!(conn.round_trips(), 2);
-        assert_eq!(conn.tx_bytes(), 5);
+        let tx = net
+            .metrics()
+            .counter_value("net.bytes.tx", &Labels::empty());
+        assert_eq!(tx, 5);
         conn.close(&mut net);
     }
 
@@ -1674,6 +1709,52 @@ mod tests {
         let kinds: Vec<_> = net.log().events().map(|e| &e.kind).collect();
         assert!(matches!(kinds[0], EventKind::TcpConnect));
         assert!(matches!(kinds[1], EventKind::Exchange { tx: 1, .. }));
+    }
+
+    #[test]
+    fn trace_explains_every_udp_failure() {
+        let (mut net, client, server) = echo_net(17);
+        net.bind_udp(
+            server,
+            9,
+            Arc::new(FnDatagramService::new(|_ctx, _peer, _data| None)),
+        );
+        net.policies_mut().push(
+            PolicyRule::new("drop-53", PathDecision::Blackhole)
+                .on_port(PortMatch::One(53))
+                .to_dst(DstMatch::Ip(server)),
+        );
+        let dark = ip("203.0.113.7");
+        for (dst, port) in [(server, 53), (dark, 7), (server, 9999), (server, 9)] {
+            let err = net.udp_query(client, dst, port, b"?", None).unwrap_err();
+            assert!(!matches!(err, UdpError::DepthExceeded), "{err}");
+        }
+        let kinds: Vec<_> = net.log().events().map(|e| e.kind.clone()).collect();
+        let drop = |rule: Option<&str>| EventKind::UdpDrop {
+            rule: rule.map(str::to_string),
+        };
+        assert_eq!(
+            kinds,
+            vec![
+                drop(Some("drop-53")),
+                drop(None),
+                EventKind::UdpUnreachable,
+                drop(Some("no_answer")),
+            ]
+        );
+        // Each event carries the label its `net.path.udp_drop` counter got.
+        for label in ["drop-53", "none", "no_answer"] {
+            let labels = Labels::one("rule", label);
+            assert_eq!(
+                net.metrics().counter_value("net.path.udp_drop", &labels),
+                1,
+                "{label}"
+            );
+        }
+        let unreachable = net
+            .metrics()
+            .counter_value("net.path.udp_unreachable", &Labels::empty());
+        assert_eq!(unreachable, 1);
     }
 
     #[test]

@@ -40,9 +40,13 @@ pub enum EventKind {
     },
     /// A UDP datagram got no answer.
     UdpDrop {
-        /// Name of the policy rule responsible, if any.
+        /// Why: the responsible policy rule's name, `loss`, `no_answer`
+        /// (the service stayed silent), or none for an unrouted address.
         rule: Option<String>,
     },
+    /// ICMP port-unreachable: the host exists but nothing listens on the
+    /// UDP port.
+    UdpUnreachable,
     /// The path was diverted to another host by a policy rule.
     Diverted {
         /// Where the connection actually terminated.

@@ -14,7 +14,7 @@ use crate::provider::provider_key;
 use dnswire::view::MessageView;
 use dnswire::{builder, frame_message, Rcode, RecordType, WireError};
 use doe_protocols::dot::DotClient;
-use netsim::telemetry::{Labels, Span};
+use netsim::telemetry::{CounterId, Labels, Registry, Span};
 use netsim::{mix_seed, Network};
 use std::net::Ipv4Addr;
 use tlssim::{classify_chain, CertStatus, Certificate, DateStamp, TlsClientConfig, TrustStore};
@@ -23,14 +23,40 @@ use tlssim::{classify_chain, CertStatus, Certificate, DateStamp, TlsClientConfig
 /// [`DotClient`]'s default).
 const PAD_BLOCK: usize = 128;
 
-/// Stable label value for a verification outcome class.
-fn outcome_class(outcome: &VerifyOutcome) -> &'static str {
+/// Counter slot and stable label value for a verification outcome class.
+fn outcome_class(outcome: &VerifyOutcome) -> (usize, &'static str) {
     match outcome {
-        VerifyOutcome::OpenResolver => "open_resolver",
-        VerifyOutcome::AnsweredError(_) => "answered_error",
-        VerifyOutcome::NotDns => "not_dns",
-        VerifyOutcome::NotTls => "not_tls",
-        VerifyOutcome::ConnectFailed => "connect_failed",
+        VerifyOutcome::OpenResolver => (0, "open_resolver"),
+        VerifyOutcome::AnsweredError(_) => (1, "answered_error"),
+        VerifyOutcome::NotDns => (2, "not_dns"),
+        VerifyOutcome::NotTls => (3, "not_tls"),
+        VerifyOutcome::ConnectFailed => (4, "connect_failed"),
+    }
+}
+
+/// One labelled counter family with a handle per class, registered on the
+/// class's first use — exactly when a one-shot `Registry::count` would
+/// have created the series. Eager registration would add zero-valued
+/// series to the snapshot.
+struct ClassCounters<const N: usize> {
+    name: &'static str,
+    key: &'static str,
+    ids: [Option<CounterId>; N],
+}
+
+impl<const N: usize> ClassCounters<N> {
+    fn new(name: &'static str, key: &'static str) -> Self {
+        ClassCounters {
+            name,
+            key,
+            ids: [None; N],
+        }
+    }
+
+    fn inc(&mut self, metrics: &mut Registry, (slot, label): (usize, &'static str)) {
+        let id = *self.ids[slot]
+            .get_or_insert_with(|| metrics.counter(self.name, Labels::one(self.key, label)));
+        metrics.inc(id);
     }
 }
 
@@ -249,6 +275,8 @@ fn verify_shard(
     let session_us = worker
         .metrics_mut()
         .histogram("stage.verify.session_us", Labels::empty());
+    let mut outcomes = ClassCounters::<5>::new("stage.verify.outcome", "class");
+    let mut certs = ClassCounters::<5>::new("stage.verify.cert", "status");
     for i in (shard..candidates.len()).step_by(shards) {
         // Per-candidate reseed keyed on the global index, so the session's
         // randomness (and thus the observation) is shard-layout invariant.
@@ -260,17 +288,10 @@ fn verify_shard(
         let elapsed = span.elapsed_us(worker.charged().as_micros());
         let metrics = worker.metrics_mut();
         metrics.observe(session_us, elapsed);
-        metrics.count(
-            "stage.verify.outcome",
-            Labels::one("class", outcome_class(&obs.outcome)),
-            1,
-        );
+        outcomes.inc(metrics, outcome_class(&obs.outcome));
         if let Some(status) = &obs.cert_status {
-            metrics.count(
-                "stage.verify.cert",
-                Labels::one("status", CertClass::of(status).label()),
-                1,
-            );
+            let class = CertClass::of(status);
+            certs.inc(metrics, (class as usize, class.label()));
         }
         table.push(&obs);
     }
