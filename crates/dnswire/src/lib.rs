@@ -46,7 +46,7 @@ pub use error::WireError;
 pub use framing::{frame_message, read_framed, FrameDecoder};
 pub use header::{Header, Opcode, Rcode};
 pub use message::{Message, Question};
-pub use name::Name;
+pub use name::{CompressionTable, Name};
 pub use rr::{RData, RecordClass, RecordType, ResourceRecord, SoaData};
 pub use view::{MessageView, NameRef, RrView};
 pub use zone::{Zone, ZoneLookup};

@@ -4,11 +4,10 @@
 use crate::edns::OptRecord;
 use crate::error::WireError;
 use crate::header::{Header, Rcode};
-use crate::name::Name;
+use crate::name::{CompressionTable, Name};
 use crate::rr::{RecordClass, RecordType, ResourceRecord};
 use crate::view::MessageView;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One entry of the question section.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -31,7 +30,7 @@ impl Question {
         }
     }
 
-    fn encode(&self, buf: &mut Vec<u8>, table: &mut HashMap<Name, u16>) {
+    fn encode<'a>(&'a self, buf: &mut Vec<u8>, table: &mut CompressionTable<'a>) {
         self.qname.encode_compressed(buf, table);
         buf.extend_from_slice(&self.qtype.to_u16().to_be_bytes());
         buf.extend_from_slice(&self.qclass.to_u16().to_be_bytes());
@@ -135,7 +134,7 @@ impl Message {
 
         let mut buf = Vec::with_capacity(64);
         header.encode(&mut buf);
-        let mut table: HashMap<Name, u16> = HashMap::new();
+        let mut table = CompressionTable::new();
         for q in &self.questions {
             q.encode(&mut buf, &mut table);
         }
@@ -166,6 +165,7 @@ mod tests {
     use super::*;
     use crate::builder;
     use crate::rr::RData;
+    use proptest::prelude::*;
     use std::net::Ipv4Addr;
 
     #[test]
@@ -309,5 +309,143 @@ mod tests {
         for case in cases {
             assert!(Message::decode(&case).is_err());
         }
+    }
+
+    /// The compression encoder this crate had before [`CompressionTable`]:
+    /// every suffix cloned into a `HashMap<Name, u16>`. Kept only as the
+    /// reference the table is checked against.
+    fn reference_encode(msg: &Message) -> Vec<u8> {
+        use std::collections::HashMap;
+        fn name(n: &Name, buf: &mut Vec<u8>, table: &mut HashMap<Name, u16>) {
+            let labels = n.labels();
+            for i in 0..labels.len() {
+                let suffix = Name::from_labels(&labels[i..]).unwrap();
+                if let Some(&off) = table.get(&suffix) {
+                    buf.extend_from_slice(&(0xc000 | off).to_be_bytes());
+                    return;
+                }
+                if buf.len() <= 0x3fff {
+                    table.insert(suffix, buf.len() as u16);
+                }
+                buf.push(labels[i].len() as u8);
+                buf.extend_from_slice(&labels[i]);
+            }
+            buf.push(0);
+        }
+        let mut header = msg.header;
+        header.qdcount = msg.questions.len() as u16;
+        header.ancount = msg.answers.len() as u16;
+        header.nscount = msg.authority.len() as u16;
+        header.arcount = msg.additional.len() as u16;
+        let mut buf = Vec::new();
+        header.encode(&mut buf);
+        let mut table = HashMap::new();
+        for q in &msg.questions {
+            name(&q.qname, &mut buf, &mut table);
+            buf.extend_from_slice(&q.qtype.to_u16().to_be_bytes());
+            buf.extend_from_slice(&q.qclass.to_u16().to_be_bytes());
+        }
+        let records = msg
+            .answers
+            .iter()
+            .chain(&msg.authority)
+            .chain(&msg.additional);
+        for rr in records {
+            name(&rr.name, &mut buf, &mut table);
+            buf.extend_from_slice(&rr.rtype.to_u16().to_be_bytes());
+            buf.extend_from_slice(&rr.class.to_u16().to_be_bytes());
+            buf.extend_from_slice(&rr.ttl.to_be_bytes());
+            let mut rdata = Vec::new();
+            rr.rdata.encode(&mut rdata).unwrap();
+            buf.extend_from_slice(&(rdata.len() as u16).to_be_bytes());
+            buf.extend_from_slice(&rdata);
+        }
+        buf
+    }
+
+    /// Names over a tiny label alphabet, so suffixes are shared and nested
+    /// (`a.b.c`, `b.c`, `c`, `c.b.c`, ...). Zero labels is the root.
+    fn arb_shared_name() -> impl Strategy<Value = Name> {
+        const LABELS: &[&str] = &["a", "b", "c", "www", "example", "com"];
+        proptest::collection::vec(0..LABELS.len(), 0..5)
+            .prop_map(|picks| Name::from_labels(picks.iter().map(|&i| LABELS[i])).unwrap())
+    }
+
+    /// A TXT record of `len` bytes: padding that moves later names across
+    /// the 14-bit pointer range.
+    fn txt_pad(owner: Name, len: usize) -> ResourceRecord {
+        let segments = vec![vec![b'x'; 255]; len / 255];
+        ResourceRecord::new(owner, 0, RData::Txt(segments))
+    }
+
+    fn arb_shared_record() -> impl Strategy<Value = ResourceRecord> {
+        prop_oneof![
+            (arb_shared_name(), any::<[u8; 4]>()).prop_map(|(n, ip)| ResourceRecord::new(
+                n,
+                60,
+                RData::A(ip.into())
+            )),
+            (arb_shared_name(), arb_shared_name()).prop_map(|(n, target)| ResourceRecord::new(
+                n,
+                60,
+                RData::Cname(target)
+            )),
+            (arb_shared_name(), 0usize..9_000).prop_map(|(n, len)| txt_pad(n, len)),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn compression_matches_the_hashmap_reference(
+            id in any::<u16>(),
+            questions in proptest::collection::vec(arb_shared_name(), 0..4),
+            answers in proptest::collection::vec(arb_shared_record(), 0..8),
+            additional in proptest::collection::vec(arb_shared_record(), 0..4),
+        ) {
+            let mut msg = Message::new(Header::new_query(id));
+            msg.questions = questions
+                .into_iter()
+                .map(|n| Question::new(n, RecordType::A))
+                .collect();
+            msg.answers = answers;
+            msg.additional = additional;
+            let Ok(bytes) = msg.encode() else {
+                // Past 64 KiB: nothing to compare.
+                return Ok(());
+            };
+            prop_assert_eq!(&bytes, &reference_encode(&msg));
+            prop_assert_eq!(Message::decode(&bytes).map(|m| m.answers), Ok(msg.answers));
+        }
+    }
+
+    #[test]
+    fn suffix_first_seen_past_the_pointer_range_is_written_out_again() {
+        let late = Name::parse("late.test").unwrap();
+        let mut msg = Message::new(Header::new_query(1));
+        msg.answers
+            .push(txt_pad(Name::parse("pad.example").unwrap(), 17_000));
+        msg.answers.push(ResourceRecord::new(
+            late.clone(),
+            1,
+            RData::A([1; 4].into()),
+        ));
+        msg.answers.push(ResourceRecord::new(
+            late.clone(),
+            1,
+            RData::A([2; 4].into()),
+        ));
+        // A suffix first seen early still compresses after the boundary.
+        msg.answers.push(ResourceRecord::new(
+            Name::parse("more.pad.example").unwrap(),
+            1,
+            RData::A([3; 4].into()),
+        ));
+        let bytes = msg.encode().unwrap();
+        assert!(bytes.len() > 16 * 1024);
+        assert_eq!(bytes, reference_encode(&msg));
+        let full = b"\x04late\x04test\x00";
+        let written = bytes.windows(full.len()).filter(|w| w == full).count();
+        assert_eq!(written, 2, "an unreachable offset must not be pointed to");
+        assert_eq!(Message::decode(&bytes).unwrap().answers, msg.answers);
     }
 }

@@ -4,7 +4,6 @@
 use crate::error::WireError;
 use crate::{MAX_LABEL_LEN, MAX_NAME_LEN};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A fully-qualified domain name, stored as lower-cased labels.
@@ -164,27 +163,51 @@ impl Name {
 
     /// Encode with compression, updating `table` (suffix → offset).
     ///
+    /// The longest suffix already in the message becomes a pointer.
     /// Offsets beyond the 14-bit pointer range are not inserted into the
     /// table, as they cannot be referenced.
-    pub fn encode_compressed(&self, buf: &mut Vec<u8>, table: &mut HashMap<Name, u16>) {
-        for i in 0..self.labels.len() {
-            let suffix = Name {
-                labels: self.labels[i..].to_vec(),
-            };
-            if let Some(&off) = table.get(&suffix) {
+    pub fn encode_compressed<'a>(&'a self, buf: &mut Vec<u8>, table: &mut CompressionTable<'a>) {
+        for (i, label) in self.labels.iter().enumerate() {
+            let suffix = &self.labels[i..];
+            if let Some(off) = table.offset_of(suffix) {
                 buf.push(0b1100_0000 | ((off >> 8) as u8));
                 buf.push((off & 0xff) as u8);
                 return;
             }
             let here = buf.len();
             if here <= 0x3fff {
-                table.insert(suffix, here as u16);
+                table.suffixes.push((suffix, here as u16));
             }
-            let label = &self.labels[i];
             buf.push(label.len() as u8);
             buf.extend_from_slice(label);
         }
         buf.push(0);
+    }
+}
+
+/// The compression table of one message encode (RFC 1035 §4.1.4): each
+/// name suffix written so far, borrowed from its [`Name`], with the offset
+/// of its first occurrence.
+///
+/// A message carries a handful of names, so a linear scan of borrowed
+/// label slices beats hashing an owned copy of every suffix.
+#[derive(Debug, Default)]
+pub struct CompressionTable<'a> {
+    suffixes: Vec<(&'a [Vec<u8>], u16)>,
+}
+
+impl<'a> CompressionTable<'a> {
+    /// An empty table, for the start of a message.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Where `suffix` was first written, if it was.
+    fn offset_of(&self, suffix: &[Vec<u8>]) -> Option<u16> {
+        self.suffixes
+            .iter()
+            .find(|(seen, _)| *seen == suffix)
+            .map(|&(_, off)| off)
     }
 }
 
@@ -318,7 +341,7 @@ mod tests {
         let b = Name::parse("two.example.com").unwrap();
         // Pointers are message offsets, so encode after a 12-octet header.
         let mut buf = vec![0u8; crate::Header::WIRE_LEN];
-        let mut table = HashMap::new();
+        let mut table = CompressionTable::new();
         a.encode_compressed(&mut buf, &mut table);
         buf.extend_from_slice(&QTYPE_QCLASS);
         let first_len = buf.len();
@@ -336,7 +359,7 @@ mod tests {
     fn identical_name_collapses_to_pointer() {
         let a = Name::parse("example.com").unwrap();
         let mut buf = Vec::new();
-        let mut table = HashMap::new();
+        let mut table = CompressionTable::new();
         a.encode_compressed(&mut buf, &mut table);
         let first = buf.len();
         a.encode_compressed(&mut buf, &mut table);

@@ -32,6 +32,15 @@ echo "==> dnswire: round-trip suite + adversarial corpus"
 # the view, so this is what makes the 2.5M-host sweep trustworthy.
 cargo test -q --offline -p dnswire --test differential --test adversarial
 
+echo "==> tlssim: handshake codec corpus"
+# HandshakeMsg is written and read directly as canonical JSON. Fixtures
+# captured from the former serde_json encoder must decode to their
+# messages and encode back byte for byte; the pinned adversarial payloads,
+# every truncation and a deep run of `[` must be protocol violations; a
+# mutant that decodes must re-encode to itself. Every DoT/DoH session of
+# the verification and reachability legs runs through this codec.
+cargo test -q --offline -p tlssim --test handshake_corpus
+
 echo "==> telemetry: repro --metrics determinism (shards 1 vs 8)"
 # A small campaign covering every instrumented stage: figure3 drives the
 # sweep + DoT verification, table4 the vantage reachability tests and
